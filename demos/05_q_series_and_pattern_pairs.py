@@ -16,7 +16,7 @@ from mahonian import (
     truncated_product,
 )
 from mahonian.laurent import ONE, Q, monomial
-from mahonian.partitions import all_ranks
+from mahonian.partitions import all_ranks, parts_off_residues
 
 # Partitions with every rank positive are equinumerous with partitions
 # avoiding the part 1; the right side is a product.
@@ -30,8 +30,7 @@ print("all-ranks-positive counts match 1/((1-q^2)(1-q^3)...) through q^12")
 # Restricting ranks to an interval matches dropping residue classes of
 # parts; the modulus-5 cases are the Rogers-Ramanujan sieves.
 for modulus, r in ((5, 1), (5, 2)):
-    banned = {0, r % modulus, (-r) % modulus}
-    rhs = truncated_product([i for i in range(1, N + 1) if i % modulus not in banned], N)
+    rhs = truncated_product(parts_off_residues(modulus, r, N), N)
     for n in range(N + 1):
         a = sum(
             1

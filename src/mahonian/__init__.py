@@ -58,7 +58,7 @@ from .partitions import (
     partitions_of,
     ranks,
 )
-from .verify import CHECKS, PairReport, check_mahonian_pair, run_check, run_suite
+from .verify import CHECKS, Counterexample, PairReport, check_mahonian_pair, run_check, run_suite
 from .words import (
     ballot_words,
     contains_pattern,

@@ -19,7 +19,7 @@ from . import genfun as G
 from . import partitions as P
 from . import words as W
 from .families import FAMILIES, enumerate_family
-from .verify import CHECKS, run_suite
+from .verify import CHECKS, run_check
 
 _STATS = {
     "maj": W.maj,
@@ -180,11 +180,7 @@ def _cmd_genfun(args) -> int:
         poly = G.truncated_product([i for i in range(1, args.truncate + 1) if i != t], args.truncate)
     elif name == "product-mod":
         modulus, r = (int(x) for x in args.params)
-        banned = {0, r % modulus, (-r) % modulus}
-        poly = G.truncated_product(
-            [i for i in range(1, args.truncate + 1) if i % modulus not in banned],
-            args.truncate,
-        )
+        poly = G.truncated_product(P.parts_off_residues(modulus, r, args.truncate), args.truncate)
     elif name in _GENFUN:
         arity, fn = _GENFUN[name]
         if len(args.params) != arity:
@@ -199,20 +195,11 @@ def _cmd_genfun(args) -> int:
     return 0
 
 
-_BOUND_FLAGS = (
-    "max_n",
-    "max_len",
-    "max_size",
-    "degree",
-    "max_total",
-    "max_coeff",
-    "samples",
-    "binary_len",
-    "ternary_len",
-    "count_size",
-    "max_n_comp",
-    "max_n_beta",
-)
+def _int_bounds() -> list[str]:
+    """Bound names offered as flags: those whose profile values are integers."""
+    return sorted(
+        {k for d in CHECKS.values() for k, v in {**d.quick, **d.full}.items() if isinstance(v, int)}
+    )
 
 
 def _cmd_verify(args) -> int:
@@ -227,38 +214,24 @@ def _cmd_verify(args) -> int:
             for name, defn in CHECKS.items():
                 print(f"  {name}: {defn.doc}", file=sys.stderr)
             return 2
-    overrides = {
-        flag: getattr(args, flag)
-        for flag in _BOUND_FLAGS
-        if getattr(args, flag) is not None
-    }
-    if overrides:
-        for flag in overrides:
-            if not any(
-                flag in CHECKS[n].quick or flag in CHECKS[n].full or flag == "count_size"
-                for n in names
-            ):
-                print(f"bound --{flag.replace('_', '-')} applies to none of the selected checks", file=sys.stderr)
-                return 2
-        reports = []
-        from .verify import run_check
-
-        for name in names:
-            defn = CHECKS[name]
-            applicable = {
-                k: v
-                for k, v in overrides.items()
-                if k in defn.quick or k in defn.full or (name, k) == ("csv-bijection", "count_size")
-            }
-            reports.append(run_check(name, bounds=applicable, profile=args.profile))
-    else:
-        reports = run_suite(profile=args.profile, names=names)
+    overrides = {k: getattr(args, k) for k in _int_bounds() if getattr(args, k) is not None}
+    for flag in overrides:
+        if not any(flag in CHECKS[n].bounds for n in names):
+            print(f"bound --{flag.replace('_', '-')} applies to none of the selected checks", file=sys.stderr)
+            return 2
+    reports = [
+        run_check(
+            name,
+            bounds={k: v for k, v in overrides.items() if k in CHECKS[name].bounds},
+            profile=args.profile,
+        )
+        for name in names
+    ]
     if args.json:
         print(json.dumps([r.to_json() for r in reports]))
     else:
         for r in reports:
-            mark = "PASS" if r.passed else "FAIL"
-            line = f"{mark} {r.check} ({r.millis:.0f} ms)"
+            line = f"{r.verdict.upper()} {r.check} ({r.millis:.0f} ms)"
             if r.witness:
                 line += f"  witness: {r.witness}"
             print(line)
@@ -306,7 +279,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all", action="store_true")
     p.add_argument("--profile", choices=("quick", "full"), default="quick")
     p.add_argument("--list", action="store_true", help="list available checks")
-    for flag in _BOUND_FLAGS:
+    for flag in _int_bounds():
         p.add_argument(f"--{flag.replace('_', '-')}", type=int, default=None, dest=flag)
     p.set_defaults(fn=_cmd_verify)
 

@@ -241,14 +241,17 @@ def no_part_equal(t: int, max_size: int) -> Iterator[Partition]:
     return (p for p in partitions_up_to(max_size) if t not in p)
 
 
+def parts_off_residues(modulus: int, residue: int, max_part: int) -> list[int]:
+    """The parts 1..max_part not congruent to 0, residue, or -residue mod
+    modulus: the parts allowed on the product side of the rank sieves."""
+    banned = {0, residue % modulus, (-residue) % modulus}
+    return [i for i in range(1, max_part + 1) if i % modulus not in banned]
+
+
 def no_part_congruent(modulus: int, residue: int, max_size: int) -> Iterator[Partition]:
     """Partitions with no part congruent to 0, residue, or -residue mod modulus."""
-    banned = {0, residue % modulus, (-residue) % modulus}
-    return (
-        p
-        for p in partitions_up_to(max_size)
-        if all(part % modulus not in banned for part in p)
-    )
+    allowed = set(parts_off_residues(modulus, residue, max_size))
+    return (p for p in partitions_up_to(max_size) if all(part in allowed for part in p))
 
 
 def first_difference_class(t: int, max_size: int) -> Iterator[Partition]:

@@ -1,19 +1,27 @@
 """Registry of executable checks, one per named identity or bijection
 theorem, each exhaustively verified at caller-chosen desk-scale bounds.
 
-Every check produces a PairReport; a failing report always carries a
-concrete witness that reproduces the failure in isolation.  Reports are
-deterministic functions of (check, bounds).
+A check is a function whose parameters are its bounds.  It returns
+normally when the identity holds at those bounds and raises
+Counterexample(witness) when it does not; the witness is a concrete
+word, partition or monomial that reproduces the failure in isolation.
+run_check turns either outcome, or any other exception, into a
+PairReport.  Reports are deterministic functions of (check, bounds).
+
+Some checks compare deliberately independent routes to the same object:
+foata_binary and foata_inverse_binary against the staged construction,
+divide_exact quotients against the Gaussian-binomial side, and the
+enumerated, recursive and closed-form Fibonacci polynomials.  These
+routes are oracles for each other, not duplication; keep them separate.
 """
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import math
-import os
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import bijections as B
@@ -27,14 +35,16 @@ from .laurent import ONE, ZERO, Laurent, Q, monomial
 # reports
 
 
+class Counterexample(Exception):
+    """Raised by a check that fails; the message is the witness."""
+
+
 @dataclass
 class PairReport:
     check: str
     params: dict
-    verdict: str  # "pass" | "fail"
+    verdict: str  # "pass" | "fail" | "error"
     witness: str | None = None
-    left: str | None = None
-    right: str | None = None
     millis: float = 0.0
     established: bool = True
 
@@ -65,6 +75,11 @@ class CheckDef:
     full: dict
     established: bool = True
 
+    @property
+    def bounds(self) -> tuple[str, ...]:
+        """The bound names this check accepts: its function's parameters."""
+        return tuple(inspect.signature(self.fn).parameters)
+
 
 CHECKS: dict[str, CheckDef] = {}
 
@@ -77,45 +92,42 @@ def _register(name, doc, quick, full, established=True):
     return deco
 
 
-def _clip(text: str, limit: int = 160) -> str:
-    return text if len(text) <= limit else text[: limit - 3] + "..."
-
-
-def _poly_result(left: Laurent, right: Laurent, label: str = ""):
+def _check_polys(left: Laurent, right: Laurent, label: str = "") -> None:
+    """Raise Counterexample at the first monomial whose coefficients differ."""
     if left == right:
-        return True, None, _clip(str(left)), _clip(str(right))
+        return
     for e in sorted(set(left.terms) | set(right.terms)):
         lc, rc = left.terms.get(e, 0), right.terms.get(e, 0)
         if lc != rc:
             mono = str(Laurent({e: 1}))
             prefix = f"{label}: " if label else ""
             witness = f"{prefix}coefficient of {mono} is {lc} on the left, {rc} on the right"
-            return False, witness, _clip(str(left)), _clip(str(right))
+            raise Counterexample(witness)
     raise AssertionError("unreachable")
 
 
-def _set_result(left: set, right: set, fmt=str, label: str = ""):
+def _check_sets(left: set, right: set, fmt=str, label: str = "") -> None:
+    """Raise Counterexample at the least element in only one of the sets."""
     if left == right:
-        summary = f"{len(left)} elements"
-        return True, None, summary, summary
+        return
     extra = sorted(fmt(x) for x in left - right)
     missing = sorted(fmt(x) for x in right - left)
     prefix = f"{label}: " if label else ""
     if extra:
-        witness = f"{prefix}{extra[0]} is in the left set only"
-    else:
-        witness = f"{prefix}{missing[0]} is in the right set only"
-    return False, witness, f"{len(left)} elements", f"{len(right)} elements"
+        raise Counterexample(f"{prefix}{extra[0]} is in the left set only")
+    raise Counterexample(f"{prefix}{missing[0]} is in the right set only")
 
 
-def check_mahonian_pair(S, T, label: str = ""):
+def check_mahonian_pair(S, T, label: str = "") -> None:
     """Compare the maj distribution over S with the inv distribution over T.
 
-    Both streams must be finite.  Returns (ok, witness, left, right).
+    Both streams must be finite.  Returns None when the distributions are
+    equal and raises Counterexample naming the first differing
+    coefficient otherwise.
     """
     left = G.distribution(S, {"q": W.maj})
     right = G.distribution(T, {"q": W.inv})
-    return _poly_result(left, right, label)
+    _check_polys(left, right, label)
 
 
 # ---------------------------------------------------------------------------
@@ -148,10 +160,9 @@ def _chk_worked_example():
         for st, fs in trace
     ]
     if got != expected:
-        return False, f"trace was {got}", None, None
+        raise Counterexample(f"trace was {got}")
     if foata_inverse(W.parse_word("2213112")) != v:
-        return False, "inverse of 2213112 is not 2121312", None, None
-    return True, None, "2213112", "2213112"
+        raise Counterexample("inverse of 2213112 is not 2121312")
 
 
 @_register(
@@ -161,17 +172,14 @@ def _chk_worked_example():
     full={"binary_len": 14, "ternary_len": 9},
 )
 def _chk_maj_inv(binary_len, ternary_len):
-    count = 0
     for alphabet, cap in (((1, 2), binary_len), ((1, 2, 3), ternary_len)):
         for n in range(cap + 1):
             for v in itertools.product(alphabet, repeat=n):
                 w = foata(v)
                 if W.maj(v) != W.inv(w):
-                    return False, f"v={W.format_word(v)}", None, None
+                    raise Counterexample(f"v={W.format_word(v)}")
                 if sorted(w) != sorted(v):
-                    return False, f"letters not preserved at v={W.format_word(v)}", None, None
-                count += 1
-    return True, None, f"{count} words", f"{count} words"
+                    raise Counterexample(f"letters not preserved at v={W.format_word(v)}")
 
 
 @_register(
@@ -181,13 +189,10 @@ def _chk_maj_inv(binary_len, ternary_len):
     full={"ternary_len": 9},
 )
 def _chk_roundtrip(ternary_len):
-    count = 0
     for n in range(ternary_len + 1):
         for v in itertools.product((1, 2, 3), repeat=n):
             if foata_inverse(foata(v)) != v:
-                return False, f"v={W.format_word(v)}", None, None
-            count += 1
-    return True, None, f"{count} words", f"{count} words"
+                raise Counterexample(f"v={W.format_word(v)}")
 
 
 @_register(
@@ -202,19 +207,18 @@ def _chk_binary_forms(max_len):
         for v in itertools.product((1, 2), repeat=n):
             w = foata(v)
             if foata_binary(v) != w:
-                return False, f"closed form differs at v={W.format_word(v)}", None, None
+                raise Counterexample(f"closed form differs at v={W.format_word(v)}")
             if foata_inverse_binary(w) != foata_inverse(w):
-                return False, f"binary inverse differs at w={W.format_word(w)}", None, None
+                raise Counterexample(f"binary inverse differs at w={W.format_word(w)}")
     for n in range(max(0, max_len - 2) + 1):
         for v in itertools.product((1, 2), repeat=n):
             w = foata(v)
             if foata(v + (2,)) != w + (2,):
-                return False, f"rule w2 fails at {W.format_word(v)}", None, None
+                raise Counterexample(f"rule w2 fails at {W.format_word(v)}")
             if foata(v + (1, 1)) != (1,) + foata(v + (1,)):
-                return False, f"rule w11 fails at {W.format_word(v)}", None, None
+                raise Counterexample(f"rule w11 fails at {W.format_word(v)}")
             if foata(v + (2, 1)) != (2,) + w + (1,):
-                return False, f"rule w21 fails at {W.format_word(v)}", None, None
-    return True, None, "all forms agree", "all forms agree"
+                raise Counterexample(f"rule w21 fails at {W.format_word(v)}")
 
 
 @_register(
@@ -230,18 +234,11 @@ def _chk_macmahon(max_size, max_perm_n):
             for c2 in range(total - c1 + 1):
                 c3 = total - c1 - c2
                 base = (1,) * c1 + (2,) * c2 + (3,) * c3
-                ok, witness, left, right = check_mahonian_pair(
+                check_mahonian_pair(
                     W.permutations_of(base), W.permutations_of(base), W.format_word(base)
                 )
-                if not ok:
-                    return ok, witness, left, right
     for n in range(max_perm_n + 1):
-        ok, witness, left, right = check_mahonian_pair(
-            W.symmetric_group(n), W.symmetric_group(n), f"permutations of 1..{n}"
-        )
-        if not ok:
-            return ok, witness, left, right
-    return True, None, "equal on every class", "equal on every class"
+        check_mahonian_pair(W.symmetric_group(n), W.symmetric_group(n), f"permutations of 1..{n}")
 
 
 @_register(
@@ -256,12 +253,11 @@ def _chk_prime(max_len):
         for y in itertools.product((1, 2), repeat=n):
             yp = W.reverse_complement(y)
             if W.reverse_complement(yp) != y:
-                return False, f"not an involution at {W.format_word(y)}", None, None
+                raise Counterexample(f"not an involution at {W.format_word(y)}")
             if W.inv(yp) != W.inv(y) or W.des(yp) != W.des(y):
-                return False, f"inv/des not preserved at {W.format_word(y)}", None, None
+                raise Counterexample(f"inv/des not preserved at {W.format_word(y)}")
             if W.maj(yp) != n * W.des(y) - W.maj(y):
-                return False, f"maj law fails at {W.format_word(y)}", None, None
-    return True, None, "three identities hold", "three identities hold"
+                raise Counterexample(f"maj law fails at {W.format_word(y)}")
 
 
 # ---------------------------------------------------------------------------
@@ -280,9 +276,9 @@ def _chk_lattice(max_total):
         for w in itertools.product((1, 2), repeat=n):
             lam = P.partition_of_word(w)
             if P.size(lam) != W.inv(w):
-                return False, f"size differs at w={W.format_word(w)}", None, None
+                raise Counterexample(f"size differs at w={W.format_word(w)}")
             if P.partition_of_word(W.reverse_complement(w)) != P.conjugate(lam):
-                return False, f"conjugate law fails at w={W.format_word(w)}", None, None
+                raise Counterexample(f"conjugate law fails at w={W.format_word(w)}")
             ones = [i for i, a in enumerate(w) if a == 1][::-1]
             twos = [i for i, a in enumerate(w) if a == 2]
             deepest = 0
@@ -290,11 +286,10 @@ def _chk_lattice(max_total):
                 if twos[i] < ones[i]:
                     deepest = i + 1
             if P.durfee(lam) != deepest:
-                return False, f"durfee law fails at w={W.format_word(w)}", None, None
+                raise Counterexample(f"durfee law fails at w={W.format_word(w)}")
     for lam in P.partitions_in_box(5, 5):
         if P.partition_of_boundary(P.boundary_word(lam)) != lam:
-            return False, f"boundary round-trip fails at {P.format_partition(lam)}", None, None
-    return True, None, "dictionary consistent", "dictionary consistent"
+            raise Counterexample(f"boundary round-trip fails at {P.format_partition(lam)}")
 
 
 @_register(
@@ -309,8 +304,7 @@ def _chk_maj_des_durfee(max_len):
         for v in itertools.product((1, 2), repeat=n):
             lam = P.partition_of_word(foata(v))
             if W.maj(v) != P.size(lam) or W.des(v) != P.durfee(lam):
-                return False, f"v={W.format_word(v)}", None, None
-    return True, None, "both identities hold", "both identities hold"
+                raise Counterexample(f"v={W.format_word(v)}")
 
 
 @_register(
@@ -325,10 +319,9 @@ def _chk_excess_pairing(max_n):
         for w in W.permutations_of((1,) * n + (2,) * n):
             _, e, p = W.excess_profile(w)
             if e != n - p:
-                return False, f"w={W.format_word(w)}: e={e}, pairs={p}", None, None
+                raise Counterexample(f"w={W.format_word(w)}: e={e}, pairs={p}")
             if W.is_ballot(w) != (e <= 0):
-                return False, f"ballot test fails at w={W.format_word(w)}", None, None
-    return True, None, "identity holds", "identity holds"
+                raise Counterexample(f"ballot test fails at w={W.format_word(w)}")
 
 
 @_register(
@@ -346,17 +339,16 @@ def _chk_excess_rank(max_len):
             d = P.durfee(lam)
             evec, e, _ = W.excess_profile(v)
             if W.des(v) != d:
-                return False, f"descents differ at v={W.format_word(v)}", None, None
+                raise Counterexample(f"descents differ at v={W.format_word(v)}")
             for i in range(d):
                 if evec[i] != rho[d - i - 1] + 1:
-                    return False, f"coordinate {i} fails at v={W.format_word(v)}", None, None
+                    raise Counterexample(f"coordinate {i} fails at v={W.format_word(v)}")
             if d >= 1:
                 r = max(rho)
                 if e < r + 1:
-                    return False, f"inequality fails at v={W.format_word(v)}", None, None
+                    raise Counterexample(f"inequality fails at v={W.format_word(v)}")
                 if evec[d] < e and e != r + 1:
-                    return False, f"equality case fails at v={W.format_word(v)}", None, None
-    return True, None, "lemma holds", "lemma holds"
+                    raise Counterexample(f"equality case fails at v={W.format_word(v)}")
 
 
 # ---------------------------------------------------------------------------
@@ -378,15 +370,24 @@ def _chk_ballot_image(max_n):
             for w in W.permutations_of((1,) * n + (2,) * n)
             if P.all_ranks(P.partition_of_word(w), lambda r: r < 0)
         }
-        ok, witness, left, right = _set_result(img, rhs, W.format_word, f"n={n}")
-        if not ok:
-            return ok, witness, left, right
-        ok, witness, left, right = check_mahonian_pair(
-            W.ballot_words(n, n), img, f"n={n} pair with image"
-        )
-        if not ok:
-            return ok, witness, left, right
-    return True, None, "sets equal", "sets equal"
+        _check_sets(img, rhs, W.format_word, f"n={n}")
+        check_mahonian_pair(W.ballot_words(n, n), img, f"n={n} pair with image")
+
+
+def _ballot_preimage_condition(v, k, l):
+    """The run-exponent inequalities under which a rearrangement v of
+    1^k 2^l has a ballot image; the excess k - l enters the two's side."""
+    om, ta = W.ones_twos_compositions(v)
+    if sum(om) != k or sum(ta) != l:
+        return False
+    d = len(om) - 1
+    am = an = 0
+    for i in range(1, d + 1):
+        am += om[d - i + 1]
+        an += ta[d - i + 1]
+        if am < 2 * i or an + (k - l) < 2 * i - 1:
+            return False
+    return True
 
 
 @_register(
@@ -397,24 +398,10 @@ def _chk_ballot_image(max_n):
     full={"max_n": 6},
 )
 def _chk_ballot_preimage(max_n):
-    def condition(v, n):
-        om, ta = W.ones_twos_compositions(v)
-        if sum(om) != n or sum(ta) != n:
-            return False
-        d = len(om) - 1
-        am = an = 0
-        for i in range(1, d + 1):
-            am += om[d - i + 1]
-            an += ta[d - i + 1]
-            if am < 2 * i or an < 2 * i - 1:
-                return False
-        return True
-
     for n in range(max_n + 1):
         for v in W.permutations_of((1,) * n + (2,) * n):
-            if W.is_ballot(foata(v)) != condition(v, n):
-                return False, f"v={W.format_word(v)}", None, None
-    return True, None, "equivalence holds", "equivalence holds"
+            if W.is_ballot(foata(v)) != _ballot_preimage_condition(v, n, n):
+                raise Counterexample(f"v={W.format_word(v)}")
 
 
 @_register(
@@ -436,10 +423,7 @@ def _chk_rect_image(max_total):
                 for w in W.permutations_of((1,) * k + (2,) * l)
                 if P.all_ranks(P.partition_of_word(w), lambda r: r < 0)
             }
-            ok, witness, left, right = _set_result(img, rhs, W.format_word, f"k={k},l={l}")
-            if not ok:
-                return ok, witness, left, right
-    return True, None, "sets equal", "sets equal"
+            _check_sets(img, rhs, W.format_word, f"k={k},l={l}")
 
 
 @_register(
@@ -450,28 +434,14 @@ def _chk_rect_image(max_total):
     full={"max_total": 12},
 )
 def _chk_rect_preimage(max_total):
-    def condition(v, k, l):
-        om, ta = W.ones_twos_compositions(v)
-        if sum(om) != k or sum(ta) != l:
-            return False
-        d = len(om) - 1
-        am = an = 0
-        for i in range(1, d + 1):
-            am += om[d - i + 1]
-            an += ta[d - i + 1]
-            if am < 2 * i or an + (k - l) < 2 * i - 1:
-                return False
-        return True
-
     for total in range(max_total + 1):
         for l in range(total // 2 + 1):
             k = total - l
             if k < l:
                 continue
             for v in W.permutations_of((1,) * k + (2,) * l):
-                if W.is_ballot(foata(v)) != condition(v, k, l):
-                    return False, f"k={k}, l={l}, v={W.format_word(v)}", None, None
-    return True, None, "equivalence holds", "equivalence holds"
+                if W.is_ballot(foata(v)) != _ballot_preimage_condition(v, k, l):
+                    raise Counterexample(f"k={k}, l={l}, v={W.format_word(v)}")
 
 
 @_register(
@@ -486,15 +456,10 @@ def _chk_rank_catalan(max_n):
         lhs = G.distribution(
             P.rank_negative_in_box(n, n), {"q": P.size, "t": P.durfee}
         )
-        ok, witness, left, right = _poly_result(lhs, G.catalan_qt(n), f"n={n}")
-        if not ok:
-            return ok, witness, left, right
+        _check_polys(lhs, G.catalan_qt(n), f"n={n}")
         lhs_q = lhs.substitute({"t": ONE})
         rhs_q = G.q_binomial(2 * n, n).divide_exact(G.q_int(n + 1))
-        ok, witness, left, right = _poly_result(lhs_q, rhs_q, f"n={n}, t=1")
-        if not ok:
-            return ok, witness, left, right
-    return True, None, "polynomials equal", "polynomials equal"
+        _check_polys(lhs_q, rhs_q, f"n={n}, t=1")
 
 
 @_register(
@@ -507,10 +472,7 @@ def _chk_catalan_q1(max_n):
     for n in range(max_n + 1):
         lhs = G.catalan_qt(n).substitute({"t": ONE})
         rhs = G.q_binomial(2 * n, n).divide_exact(G.q_int(n + 1))
-        ok, witness, left, right = _poly_result(lhs, rhs, f"n={n}")
-        if not ok:
-            return ok, witness, left, right
-    return True, None, "equal", "equal"
+        _check_polys(lhs, rhs, f"n={n}")
 
 
 @_register(
@@ -525,10 +487,7 @@ def _chk_catalan_square(max_n):
         rhs = ZERO
         for d in range(n // 2 + 1):
             rhs = rhs + monomial(1, q=d * d) * G.catalan_nd_q(n, d) ** 2
-        ok, witness, left, right = _poly_result(G.catalan_q(n), rhs, f"n={n}")
-        if not ok:
-            return ok, witness, left, right
-    return True, None, "equal", "equal"
+        _check_polys(G.catalan_q(n), rhs, f"n={n}")
 
 
 @_register(
@@ -547,10 +506,7 @@ def _chk_catalan_four_term(max_n):
             cs = cm.substitute(sub)
             ds = dm.substitute(sub)
             total = total + monomial(1, q=n, t=1) * cm * cs + cm * ds + dm * cs + dm * ds
-        ok, witness, left, right = _poly_result(total, G.catalan_qt(n), f"n={n}")
-        if not ok:
-            return ok, witness, left, right
-    return True, None, "identity holds", "identity holds"
+        _check_polys(total, G.catalan_qt(n), f"n={n}")
 
 
 @_register(
@@ -567,12 +523,11 @@ def _chk_triangle(max_n):
             cnt = sum(1 for _ in W.ballot_words(n - d, d))
             oracle = math.comb(n, d) - (math.comb(n, d - 1) if d else 0)
             if cnt != oracle:
-                return False, f"C({n},{d}) is {cnt}, oracle {oracle}", None, None
+                raise Counterexample(f"C({n},{d}) is {cnt}, oracle {oracle}")
             total += cnt * cnt
         catalan = math.comb(2 * n, n) // (n + 1)
         if total != catalan:
-            return False, f"n={n}: sum of squares {total} != {catalan}", None, None
-    return True, None, "counts match", "counts match"
+            raise Counterexample(f"n={n}: sum of squares {total} != {catalan}")
 
 
 @_register(
@@ -592,9 +547,9 @@ def _chk_compositions(max_n_comp, max_n_beta):
             o_img = {B.ones_composition_word(c) for c in os}
             t_img = {B.twos_composition_word(c) for c in ts}
             if len(o_img) != len(os) or o_img != target:
-                return False, f"one's encoding not bijective at n={n}, d={d}", None, None
+                raise Counterexample(f"one's encoding not bijective at n={n}, d={d}")
             if len(t_img) != len(ts) or t_img != target:
-                return False, f"two's encoding not bijective at n={n}, d={d}", None, None
+                raise Counterexample(f"two's encoding not bijective at n={n}, d={d}")
     for n in range(max_n_beta + 1):
         pairs_by_d: dict[int, set] = {}
         seen = set()
@@ -604,10 +559,10 @@ def _chk_compositions(max_n_comp, max_n_beta):
             om, ta = W.ones_twos_compositions(v)
             d = len(om) - 1 if W.des(v) else 0
             if not (B.is_ones_composition(om) and B.is_twos_composition(ta)):
-                return False, f"composition of v={W.format_word(v)} out of family", None, None
+                raise Counterexample(f"composition of v={W.format_word(v)} out of family")
             key = (om, ta)
             if key in seen:
-                return False, f"product map not injective at v={W.format_word(v)}", None, None
+                raise Counterexample(f"product map not injective at v={W.format_word(v)}")
             seen.add(key)
             pairs_by_d.setdefault(W.des(v), set()).add(key)
         for d, got in pairs_by_d.items():
@@ -616,16 +571,13 @@ def _chk_compositions(max_n_comp, max_n_beta):
                 for o in B.ones_compositions(n, d)
                 for t in B.twos_compositions(n, d)
             }
-            ok, witness, left, right = _set_result(got, want, str, f"n={n}, d={d}")
-            if not ok:
-                return ok, witness, left, right
+            _check_sets(got, want, str, f"n={n}, d={d}")
         for w in W.ballot_words(n, n):
             v = foata_inverse(w)
             om, ta = W.ones_twos_compositions(v)
             composed = (B.ones_composition_word(om), B.twos_composition_word(ta))
             if composed != B.ballot_split(w):
-                return False, f"composition differs from split at w={W.format_word(w)}", None, None
-    return True, None, "all three statements hold", "all three statements hold"
+                raise Counterexample(f"composition differs from split at w={W.format_word(w)}")
 
 
 @_register(
@@ -642,15 +594,14 @@ def _chk_split(max_n):
             x, y = B.ballot_split(w)
             d = sum(1 for a in x if a == 2)
             if not (W.is_ballot(x) and W.is_ballot(y)):
-                return False, f"split of {W.format_word(w)} not ballot", None, None
+                raise Counterexample(f"split of {W.format_word(w)} not ballot")
             if sum(1 for a in y if a == 2) != d:
-                return False, f"two-counts differ at {W.format_word(w)}", None, None
+                raise Counterexample(f"two-counts differ at {W.format_word(w)}")
             if W.inv(w) != W.inv(x) + W.inv(y) + d * d:
-                return False, f"inversion law fails at {W.format_word(w)}", None, None
+                raise Counterexample(f"inversion law fails at {W.format_word(w)}")
             if (x, y) in images:
-                return False, f"split not injective at {W.format_word(w)}", None, None
+                raise Counterexample(f"split not injective at {W.format_word(w)}")
             images.add((x, y))
-    return True, None, "split well behaved", "split well behaved"
 
 
 @_register(
@@ -663,12 +614,7 @@ def _chk_split(max_n):
 def _chk_excess_maxrank(max_n):
     for n in range(max_n + 1):
         for k in range(1, n + 1):
-            ok, witness, left, right = check_mahonian_pair(
-                W.excess_class(n, k), P.max_rank_class(n, k - 1), f"n={n}, k={k}"
-            )
-            if not ok:
-                return ok, witness, left, right
-    return True, None, "pairs equal", "pairs equal"
+            check_mahonian_pair(W.excess_class(n, k), P.max_rank_class(n, k - 1), f"n={n}, k={k}")
 
 
 # ---------------------------------------------------------------------------
@@ -687,12 +633,11 @@ def _chk_fib_counts(max_n):
         b = sum(1 for _ in W.fibonacci_dual_words(n))
         c = sum(1 for _ in W.letter_sum_words(n))
         if a != G.fibonacci(n + 1):
-            return False, f"no-11 count at n={n} is {a}", None, None
+            raise Counterexample(f"no-11 count at n={n} is {a}")
         if b != G.fibonacci(n + 1):
-            return False, f"no-22 count at n={n} is {b}", None, None
+            raise Counterexample(f"no-22 count at n={n} is {b}")
         if c != G.fibonacci(n):
-            return False, f"letter-sum count at n={n} is {c}", None, None
-    return True, None, "counts match", "counts match"
+            raise Counterexample(f"letter-sum count at n={n} is {c}")
 
 
 @_register(
@@ -708,15 +653,12 @@ def _chk_fib_three_way(max_n):
         enum = G.fib_poly_enumerated(n)
         closed = G.fib_poly_closed(n)
         if not (rec == enum == closed):
-            return False, f"forms differ at n={n}", _clip(str(rec)), _clip(str(enum))
+            raise Counterexample(f"forms differ at n={n}")
         t1 = rec.substitute({"t": ONE})
         rhs = ZERO
         for k in range(n // 2 + 2):
             rhs = rhs + monomial(1, q=k * (k - 1)) * G.q_binomial(n - k + 1, k)
-        ok, witness, left, right = _poly_result(t1, rhs, f"n={n}, t=1")
-        if not ok:
-            return ok, witness, left, right
-    return True, None, "all forms agree", "all forms agree"
+        _check_polys(t1, rhs, f"n={n}, t=1")
 
 
 @_register(
@@ -738,10 +680,7 @@ def _chk_fib_image(max_n):
                 if k >= 2 and (len(lam) != k or lam[k - 1] < k - 1):
                     continue
                 rhs.add(w)
-            ok, witness, left, right = _set_result(img, rhs, W.format_word, f"n={n}, k={k}")
-            if not ok:
-                return ok, witness, left, right
-    return True, None, "sets equal", "sets equal"
+            _check_sets(img, rhs, W.format_word, f"n={n}, k={k}")
 
 
 def _no_adjacent(w, letter):
@@ -771,8 +710,7 @@ def _chk_fib_preimage(max_n):
     for n in range(max_n + 1):
         for v in itertools.product((1, 2), repeat=n):
             if _no_adjacent(foata(v), 1) != run_conditions(v):
-                return False, f"v={W.format_word(v)}", None, None
-    return True, None, "equivalence holds", "equivalence holds"
+                raise Counterexample(f"v={W.format_word(v)}")
 
 
 @_register(
@@ -816,18 +754,13 @@ def _chk_fib_dual(max_n):
                 for w in W.permutations_of((1,) * k + (2,) * (n - k))
                 if image_member(w)
             }
-            ok, witness, left, right = _set_result(img, rhs, W.format_word, f"n={n}, k={k}")
-            if not ok:
-                return ok, witness, left, right
+            _check_sets(img, rhs, W.format_word, f"n={n}, k={k}")
         for v in itertools.product((1, 2), repeat=n):
             if _no_adjacent(foata(v), 2) != run_conditions(v):
-                return False, f"run conditions fail at v={W.format_word(v)}", None, None
+                raise Counterexample(f"run conditions fail at v={W.format_word(v)}")
         lhs = G.distribution(W.fibonacci_dual_words(n), {"q": W.maj, "t": W.des})
         rhs_poly = G.fib_poly(n).substitute({"q": Q**-1, "t": monomial(1, q=n, t=1)})
-        ok, witness, left, right = _poly_result(lhs, rhs_poly, f"n={n}")
-        if not ok:
-            return ok, witness, left, right
-    return True, None, "mirrors hold", "mirrors hold"
+        _check_polys(lhs, rhs_poly, f"n={n}")
 
 
 @_register(
@@ -841,11 +774,8 @@ def _chk_letter_sum(max_total):
     for n in range(max_total + 1):
         family = list(W.letter_sum_words(n))
         if {foata(v) for v in family} != set(family):
-            return False, f"family not preserved at n={n}", None, None
-        ok, witness, left, right = check_mahonian_pair(family, family, f"n={n}")
-        if not ok:
-            return ok, witness, left, right
-    return True, None, "pairs equal", "pairs equal"
+            raise Counterexample(f"family not preserved at n={n}")
+        check_mahonian_pair(family, family, f"n={n}")
 
 
 @_register(
@@ -859,10 +789,7 @@ def _chk_carlitz(max_coeff):
     series = G.carlitz_series(max_coeff)
     for n in (2 * max_coeff, 2 * max_coeff + 1):
         f = G.fib_poly(n).substitute({"t": ONE}).truncate("q", max_coeff)
-        ok, witness, left, right = _poly_result(f, series, f"n={n}")
-        if not ok:
-            return ok, witness, left, right
-    return True, None, "coefficients stable", "coefficients stable"
+        _check_polys(f, series, f"n={n}")
 
 
 # ---------------------------------------------------------------------------
@@ -884,16 +811,15 @@ def _chk_infinite_images(max_len):
             lam = P.partition_of_boundary(w) if P.is_boundary_word(w) else None
             in_w21 = v == () or v[-2:] == (2, 1)
             if in_w21 != (lam is not None):
-                return False, f"21-suffix case fails at v={W.format_word(v)}", None, None
+                raise Counterexample(f"21-suffix case fails at v={W.format_word(v)}")
             in_b21 = in_w21 and W.is_ballot(v)
             rhs_b = lam is not None and (P.max_rank(lam) is None or P.max_rank(lam) <= -1)
             if in_b21 != rhs_b:
-                return False, f"ballot case fails at v={W.format_word(v)}", None, None
+                raise Counterexample(f"ballot case fails at v={W.format_word(v)}")
             in_w121 = v == () or v[-3:] == (1, 2, 1)
             rhs_d = lam is not None and P.delta(lam) == 0
             if in_w121 != rhs_d:
-                return False, f"121-suffix case fails at v={W.format_word(v)}", None, None
-    return True, None, "three preimages match", "three preimages match"
+                raise Counterexample(f"121-suffix case fails at v={W.format_word(v)}")
 
 
 @_register(
@@ -932,10 +858,7 @@ def _chk_wslat(max_len):
         ("equal first parts", W.suffix_words((1, 2, 1), max_len), lambda lam: P.delta(lam) == 0),
     ]
     for label, stream, pred in cases:
-        ok, witness, left, right = _poly_result(word_side(stream), part_side(pred), label)
-        if not ok:
-            return ok, witness, left, right
-    return True, None, "all three identities hold", "all three identities hold"
+        _check_polys(word_side(stream), part_side(pred), label)
 
 
 @_register(
@@ -954,10 +877,8 @@ def _chk_suffix_genfun(max_len):
     w121 = G.distribution(W.suffix_words((1, 2, 1), max_len), {"q": W.maj}).truncate(
         "q", degree
     )
-    ok, witness, left, right = _poly_result(b21, product, "ballot 21-suffix side")
-    if not ok:
-        return ok, witness, left, right
-    return _poly_result(w121, product, "121-suffix side")
+    _check_polys(b21, product, "ballot 21-suffix side")
+    _check_polys(w121, product, "121-suffix side")
 
 
 @_register(
@@ -975,12 +896,11 @@ def _chk_rank_positive(degree):
         b = sum(1 for p in P.partitions_of(n) if 1 not in p)
         c = product.coefficient(q=n)
         if not (a == b == c):
-            return False, f"n={n}: counts {a}, {b}, {c}", None, None
+            raise Counterexample(f"n={n}: counts {a}, {b}, {c}")
         pos = {p for p in P.partitions_of(n) if P.all_ranks(p, lambda r: r >= 1)}
         neg = {p for p in P.partitions_of(n) if P.all_ranks(p, lambda r: r <= -1)}
         if {P.conjugate(p) for p in pos} != neg:
-            return False, f"conjugation mismatch at n={n}", None, None
-    return True, None, "sieve holds", "sieve holds"
+            raise Counterexample(f"conjugation mismatch at n={n}")
 
 
 @_register(
@@ -993,9 +913,7 @@ def _chk_rank_positive(degree):
 )
 def _chk_rank_interval(degree, cases):
     for modulus, r in cases:
-        banned = {0, r % modulus, (-r) % modulus}
-        allowed = [i for i in range(1, degree + 1) if i % modulus not in banned]
-        product = G.truncated_product(allowed, degree)
+        product = G.truncated_product(P.parts_off_residues(modulus, r, degree), degree)
         for n in range(degree + 1):
             a = sum(
                 1
@@ -1004,15 +922,14 @@ def _chk_rank_interval(degree, cases):
             )
             b = product.coefficient(q=n)
             if a != b:
-                return False, f"M={modulus}, r={r}, n={n}: {a} vs {b}", None, None
+                raise Counterexample(f"M={modulus}, r={r}, n={n}: {a} vs {b}")
     for n in range(degree + 1):
         a = sum(
             1 for p in P.partitions_of(n) if P.all_ranks(p, lambda x: 1 <= x <= n - 1)
         )
         b = sum(1 for p in P.partitions_of(n) if 1 not in p)
         if a != b:
-            return False, f"reduction case fails at n={n}", None, None
-    return True, None, "sieve holds", "sieve holds"
+            raise Counterexample(f"reduction case fails at n={n}")
 
 
 @_register(
@@ -1032,7 +949,7 @@ def _chk_csv_example():
     ]
     trace = B.csv_trace((8, 8, 6, 5, 2, 1))
     if len(trace) != len(expected):
-        return False, f"chain has {len(trace)} stages", None, None
+        raise Counterexample(f"chain has {len(trace)} stages")
     for k, (lam, rho, r, i, word, pre, eps) in enumerate(expected):
         st = trace[k]
         got = (
@@ -1045,10 +962,9 @@ def _chk_csv_example():
             st["excesses"],
         )
         if got != (lam, rho, r, i, word, pre, eps):
-            return False, f"stage {k + 1} is {got}", None, None
+            raise Counterexample(f"stage {k + 1} is {got}")
         if P.size(st["partition"]) != 30:
-            return False, f"size not preserved at stage {k + 1}", None, None
-    return True, None, "chain matches", "chain matches"
+            raise Counterexample(f"size not preserved at stage {k + 1}")
 
 
 @_register(
@@ -1070,7 +986,7 @@ def _chk_csv_bijection(max_size, count_size=None):
             if P.max_rank(p) is None or P.max_rank(p) <= -1
         )
         if d0 != rn:
-            return False, f"counts differ at n={n}: {d0} vs {rn}", None, None
+            raise Counterexample(f"counts differ at n={n}: {d0} vs {rn}")
     for n in range(max_size + 1):
         image = set()
         for p in P.partitions_of(n):
@@ -1084,28 +1000,25 @@ def _chk_csv_bijection(max_size, count_size=None):
                 q = B.csv_step(q)
                 steps += 1
                 if P.size(q) != n:
-                    return False, f"size changes at {P.format_partition(p)}", None, None
+                    raise Counterexample(f"size changes at {P.format_partition(p)}")
                 r_after = P.max_rank(q)
                 if r_after is not None and r_after > r_before - 1:
-                    return False, f"rank fails to drop at {P.format_partition(p)}", None, None
+                    raise Counterexample(f"rank fails to drop at {P.format_partition(p)}")
                 if r_before > 0 and (r_after is None or r_after != r_before - 1):
-                    return False, f"rank drop not tight at {P.format_partition(p)}", None, None
+                    raise Counterexample(f"rank drop not tight at {P.format_partition(p)}")
             if r0 is not None and r0 >= 0 and steps != r0 + 1:
-                return False, f"{P.format_partition(p)} took {steps} steps, rank {r0}", None, None
+                raise Counterexample(f"{P.format_partition(p)} took {steps} steps, rank {r0}")
             if q != B.csv_map(p):
-                return False, f"map disagrees with loop at {P.format_partition(p)}", None, None
+                raise Counterexample(f"map disagrees with loop at {P.format_partition(p)}")
             if q in image:
-                return False, f"not injective at {P.format_partition(p)}", None, None
+                raise Counterexample(f"not injective at {P.format_partition(p)}")
             image.add(q)
         target = {
             p
             for p in P.partitions_of(n)
             if P.max_rank(p) is None or P.max_rank(p) <= -1
         }
-        ok, witness, left, right = _set_result(image, target, P.format_partition, f"n={n}")
-        if not ok:
-            return ok, witness, left, right
-    return True, None, "bijection verified", "bijection verified"
+        _check_sets(image, target, P.format_partition, f"n={n}")
 
 
 @_register(
@@ -1122,10 +1035,9 @@ def _chk_conjugacy(max_size):
                 continue
             v = foata_inverse(P.boundary_word(p))
             if not (v == () or v[-3:] == (1, 2, 1)):
-                return False, f"preimage of {P.format_partition(p)} not in domain", None, None
+                raise Counterexample(f"preimage of {P.format_partition(p)} not in domain")
             if B.csv_map(p) != B.csv_via_words(p):
-                return False, f"maps differ at {P.format_partition(p)}", None, None
-    return True, None, "conjugacy holds", "conjugacy holds"
+                raise Counterexample(f"maps differ at {P.format_partition(p)}")
 
 
 @_register(
@@ -1139,18 +1051,17 @@ def _chk_gk(max_len):
     for v in W.suffix_words((1, 2, 1), max_len):
         w = B.gk_map(v)
         if w != () and not (W.is_ballot(w) and w[-2:] == (2, 1)):
-            return False, f"image of {W.format_word(v)} out of codomain", None, None
+            raise Counterexample(f"image of {W.format_word(v)} out of codomain")
         if B.gk_inverse(w) != v:
-            return False, f"round trip fails at v={W.format_word(v)}", None, None
+            raise Counterexample(f"round trip fails at v={W.format_word(v)}")
     for w in W.ballot_suffix_words((2, 1), max_len):
         if B.gk_map(B.gk_inverse(w)) != w:
-            return False, f"round trip fails at w={W.format_word(w)}", None, None
+            raise Counterexample(f"round trip fails at w={W.format_word(w)}")
     for n in range(min(max_len, 10) + 1):
         for x in itertools.product((1, 2), repeat=n):
             pairs, _, un2 = W.match_pairs(x)
             if un2 and W.match_pairs(B.flip_rightmost_unpaired_two(x))[0] != pairs:
-                return False, f"flip changes pairing at {W.format_word(x)}", None, None
-    return True, None, "bijection verified", "bijection verified"
+                raise Counterexample(f"flip changes pairing at {W.format_word(x)}")
 
 
 @_register(
@@ -1168,16 +1079,15 @@ def _chk_chains(max_n):
             s2 = sum(1 for a in start if a == 2)
             e2 = sum(1 for a in end if a == 2)
             if s2 + e2 != n:
-                return False, f"chain at {W.format_word(start)} not symmetric", None, None
+                raise Counterexample(f"chain at {W.format_word(start)} not symmetric")
             for k, w in enumerate(chain):
                 if w in seen:
-                    return False, f"{W.format_word(w)} on two chains", None, None
+                    raise Counterexample(f"{W.format_word(w)} on two chains")
                 seen[w] = True
                 if sum(1 for a in w if a == 2) != s2 - k:
-                    return False, f"chain at {W.format_word(start)} skips a level", None, None
+                    raise Counterexample(f"chain at {W.format_word(start)} skips a level")
         if len(seen) != 2**n:
-            return False, f"chains cover {len(seen)} of {2 ** n} words at n={n}", None, None
-    return True, None, "decomposition verified", "decomposition verified"
+            raise Counterexample(f"chains cover {len(seen)} of {2 ** n} words at n={n}")
 
 
 # ---------------------------------------------------------------------------
@@ -1199,20 +1109,17 @@ def _chk_lucanomial(max_n):
         for k in range(n + 1):
             poly = G.lucanomial(n, k)
             if any(c < 0 for c in poly.terms.values()):
-                return False, f"negative coefficient in ({n},{k})", None, None
+                raise Counterexample(f"negative coefficient in ({n},{k})")
             ones = poly.substitute({"s": ONE, "t": ONE})
             num = den = 1
             for i in range(1, k + 1):
                 num *= fib[n - i + 1]
                 den *= fib[i]
             if ones != Laurent.const(num // den):
-                return False, f"fibonomial specialization fails at ({n},{k})", None, None
+                raise Counterexample(f"fibonomial specialization fails at ({n},{k})")
     for n, k in ((4, 2), (5, 2)):
         got = G.lucanomial(n, k).substitute({"s": ONE + Q, "t": -Q})
-        ok, witness, left, right = _poly_result(got, G.q_binomial(n, k), f"({n},{k})")
-        if not ok:
-            return ok, witness, left, right
-    return True, None, "positivity and specializations hold", "positivity and specializations hold"
+        _check_polys(got, G.q_binomial(n, k), f"({n},{k})")
 
 
 @_register(
@@ -1226,12 +1133,9 @@ def _chk_st_catalan(max_n):
     for n in range(1, max_n + 1):
         c = G.st_catalan(n)
         if any(coef < 0 for coef in c.terms.values()):
-            return False, f"negative coefficient at n={n}", None, None
+            raise Counterexample(f"negative coefficient at n={n}")
         rhs = G.lucanomial(2 * n - 1, n - 1) + monomial(1, t=1) * G.lucanomial(2 * n - 1, n - 2)
-        ok, witness, left, right = _poly_result(c, rhs, f"n={n}")
-        if not ok:
-            return ok, witness, left, right
-    return True, None, "identity holds", "identity holds"
+        _check_polys(c, rhs, f"n={n}")
 
 
 _PATTERN_MAJ_SETS = (
@@ -1270,12 +1174,7 @@ def _chk_pattern_pairs(max_n):
         ]
         for mp, a in majd:
             for ip, b in invd:
-                ok, witness, left, right = _poly_result(
-                    a, b, f"n={n}, maj over Av{fmt(mp)}, inv over Av{fmt(ip)}"
-                )
-                if not ok:
-                    return ok, witness, left, right
-    return True, None, "all sixteen pairs equal", "all sixteen pairs equal"
+                _check_polys(a, b, f"n={n}, maj over Av{fmt(mp)}, inv over Av{fmt(ip)}")
 
 
 @_register(
@@ -1294,11 +1193,8 @@ def _chk_transport(max_len, samples):
             family.add(tuple(rng.randint(1, 3) for _ in range(n)))
         image = {foata(v) for v in family}
         if len(image) != len(family):
-            return False, f"image collapsed on trial {trial}", None, None
-        ok, witness, left, right = check_mahonian_pair(family, image, f"trial {trial}")
-        if not ok:
-            return ok, witness, left, right
-    return True, None, "transport holds", "transport holds"
+            raise Counterexample(f"image collapsed on trial {trial}")
+        check_mahonian_pair(family, image, f"trial {trial}")
 
 
 # ---------------------------------------------------------------------------
@@ -1306,48 +1202,40 @@ def _chk_transport(max_len, samples):
 
 
 def run_check(name: str, bounds: dict | None = None, profile: str = "quick") -> PairReport:
-    """Run one registered check; unknown bound keys raise KeyError."""
-    if name not in CHECKS:
-        raise KeyError(name)
+    """Run one registered check at the profile's bounds, overridden by bounds.
+
+    An unknown check or bound name raises KeyError and a negative integer
+    bound raises ValueError.  A Counterexample from the check gives verdict
+    "fail"; any other exception gives verdict "error", with the exception
+    type and message as the witness.
+    """
     defn = CHECKS[name]
-    defaults = defn.quick if profile == "quick" else defn.full
-    merged = dict(defaults)
     for key, value in (bounds or {}).items():
-        if key not in defn.full and key not in defn.quick and key not in _OPTIONAL_BOUNDS.get(name, ()):
+        if key not in defn.bounds:
             raise KeyError(f"check {name} has no bound {key!r}")
-        merged[key] = value
+        if isinstance(value, int) and value < 0:
+            raise ValueError(f"bound {key} must be nonnegative, got {value}")
+    params = {**(defn.quick if profile == "quick" else defn.full), **(bounds or {})}
+    verdict, witness = "pass", None
     start = time.perf_counter()
-    ok, witness, left, right = defn.fn(**merged)
+    try:
+        defn.fn(**params)
+    except Counterexample as exc:
+        verdict, witness = "fail", str(exc)
+    except Exception as exc:
+        verdict, witness = "error", f"{type(exc).__name__}: {exc}"
     elapsed = (time.perf_counter() - start) * 1000.0
     return PairReport(
         check=name,
-        params=merged,
-        verdict="pass" if ok else "fail",
+        params=params,
+        verdict=verdict,
         witness=witness,
-        left=left,
-        right=right,
         millis=elapsed,
         established=defn.established,
     )
 
 
-_OPTIONAL_BOUNDS = {"csv-bijection": ("count_size",)}
-
-
-def run_suite(profile: str = "quick", names: list[str] | None = None, threads: int | None = None) -> list[PairReport]:
-    """Run the selected checks (all by default) at the profile's bounds.
-
-    Checks are independent and internally pure, so they may run on a
-    thread pool (MAHONIAN_THREADS); report order follows the registry
-    regardless.
-    """
-    selected = list(CHECKS) if names is None else list(names)
-    for name in selected:
-        if name not in CHECKS:
-            raise KeyError(name)
-    if threads is None:
-        threads = int(os.environ.get("MAHONIAN_THREADS", "1"))
-    if threads > 1 and len(selected) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda n: run_check(n, profile=profile), selected))
-    return [run_check(name, profile=profile) for name in selected]
+def run_suite(profile: str = "quick", names: list[str] | None = None) -> list[PairReport]:
+    """Run the selected checks (all by default) at the profile's bounds,
+    reporting in the order given (registry order by default)."""
+    return [run_check(name, profile=profile) for name in (CHECKS if names is None else names)]

@@ -192,7 +192,7 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     from mahonian import verify as V
 
     def always_fails():
-        return False, "synthetic witness", "1", "q"
+        raise V.Counterexample("synthetic witness")
 
     fake = V.CheckDef("synthetic-failure", "test-only failing check", always_fails, {}, {})
     monkeypatch.setitem(V.CHECKS, "synthetic-failure", fake)
@@ -203,6 +203,40 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "--json", "verify", "synthetic-failure")
     assert code == 1
     assert json.loads(out)[0]["verdict"] == "fail"
+
+
+def test_verify_error_verdict(capsys, monkeypatch):
+    from mahonian import verify as V
+
+    def raises():
+        raise ValueError("synthetic bug")
+
+    fake = V.CheckDef("synthetic-error", "test-only raising check", raises, {}, {})
+    monkeypatch.setitem(V.CHECKS, "synthetic-error", fake)
+    code, out, err = run_cli(capsys, "verify", "synthetic-error", "foata-worked-example")
+    assert code == 1
+    assert "Traceback" not in err
+    lines = out.splitlines()
+    assert lines[0].startswith("ERROR synthetic-error")
+    assert "witness: ValueError: synthetic bug" in lines[0]
+    assert lines[1].startswith("PASS foata-worked-example")
+    code, out, _ = run_cli(capsys, "--json", "verify", "synthetic-error")
+    assert code == 1
+    assert json.loads(out)[0]["verdict"] == "error"
+
+
+def test_verify_negative_bound(capsys):
+    code, out, err = run_cli(capsys, "verify", "macmahon", "--max-size", "-1")
+    assert code == 2
+    assert out == ""
+    assert "nonnegative" in err
+
+
+def test_verify_derived_bound_flags(capsys):
+    code, out, _ = run_cli(capsys, "--json", "verify", "macmahon", "--max-perm-n", "3")
+    assert code == 0
+    assert json.loads(out)[0]["params"] == {"max_size": 6, "max_perm_n": 3}
+    assert main(["verify", "rank-interval-sieve", "--cases", "5"]) == 2
 
 
 def test_gk_inverse_requires_two_run_form(capsys):

@@ -2,7 +2,15 @@ import json
 
 import pytest
 
-from mahonian.verify import CHECKS, PairReport, check_mahonian_pair, run_check, run_suite
+from mahonian.verify import (
+    CHECKS,
+    CheckDef,
+    Counterexample,
+    PairReport,
+    check_mahonian_pair,
+    run_check,
+    run_suite,
+)
 
 
 @pytest.mark.parametrize("name", list(CHECKS))
@@ -37,10 +45,10 @@ def test_empty_suite():
 
 def test_failing_pair_has_witness():
     # maj over {12} vs inv over {21}: 1 vs q
-    ok, witness, left, right = check_mahonian_pair([(1, 2)], [(2, 1)])
-    assert not ok
-    assert witness is not None and "coefficient" in witness
-    assert left == "1" and right == "q"
+    with pytest.raises(Counterexample) as info:
+        check_mahonian_pair([(1, 2)], [(2, 1)])
+    assert str(info.value) == "coefficient of 1 is 1 on the left, 0 on the right"
+    assert check_mahonian_pair([(2, 1)], [(2, 1)]) is None
 
 
 def test_report_json_schema():
@@ -67,8 +75,29 @@ def test_suite_order_deterministic():
     assert [r.check for r in reports] == names
 
 
-def test_suite_threaded_matches():
+def test_suite_follows_registry_order():
     names = list(CHECKS)[:6]
-    serial = [r.check for r in run_suite(names=names, threads=1)]
-    threaded = [r.check for r in run_suite(names=names, threads=4)]
-    assert serial == threaded
+    assert [r.check for r in run_suite(names=names)] == names
+
+
+def test_error_verdict(monkeypatch):
+    def raises():
+        raise KeyError("synthetic")
+
+    fake = CheckDef("synthetic-error", "test-only raising check", raises, {}, {})
+    monkeypatch.setitem(CHECKS, "synthetic-error", fake)
+    report = run_check("synthetic-error")
+    assert report.verdict == "error"
+    assert report.witness == "KeyError: 'synthetic'"
+    assert not report.passed
+
+
+def test_negative_bound_rejected():
+    with pytest.raises(ValueError):
+        run_check("macmahon", bounds={"max_size": -1})
+
+
+@pytest.mark.parametrize("name", list(CHECKS))
+def test_profile_bounds_are_parameters(name):
+    defn = CHECKS[name]
+    assert set(defn.quick) | set(defn.full) <= set(defn.bounds)
