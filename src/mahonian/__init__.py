@@ -23,7 +23,15 @@ from .bijections import (
     twos_composition_word,
     twos_compositions,
 )
-from .foata import foata, foata_binary, foata_inverse, foata_inverse_binary, foata_trace
+from .foata import (
+    foata,
+    foata_binary,
+    foata_inverse,
+    foata_inverse_binary,
+    foata_step,
+    foata_trace,
+    foata_words,
+)
 from .genfun import (
     carlitz_series,
     catalan_nd_q,

@@ -1,28 +1,66 @@
 """Foata's fundamental bijection on words over the positive integers.
 
-The word is rebuilt letter by letter.  Before the next letter a is
-appended, the word built so far is cut into factors: if its last letter
-is <= a, each factor ends at a letter <= a (and all earlier letters of
-the factor are > a); otherwise each factor ends at a letter > a.  Every
-factor is then rotated so its last letter moves to the front, and a is
-appended.  The resulting map is a bijection that carries the major index
-to the inversion number: maj(v) = inv(foata(v)) for every word v.
+The image is built one letter at a time, and the image of v + (a,)
+depends only on the image of v and on a.  foata_step(w, a) is that
+stage: it cuts w into factors, rotates each factor so its last letter
+moves to the front, and appends a.  If w's last letter is <= a, each
+factor ends at a letter <= a (and all earlier letters of the factor are
+> a); otherwise each factor ends at a letter > a.  The resulting map is
+a bijection that carries the major index to the inversion number:
+maj(v) = inv(foata(v)) for every word v.
+
+The step has three consumers: foata is the left fold of the step over v,
+foata_trace records every stage of that fold with its factors, and
+foata_words streams (v, foata(v)) over all words of one length, taking
+each image from its prefix's image with a single step.
+
+foata_inverse, foata_binary and foata_inverse_binary are independent
+routes to the same bijection and never call the step; they are the
+oracles the exhaustive checks compare the step against.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 
 from .words import Word, as_word, ones_twos_compositions, require_binary
 
 Trace = list[tuple[Word, tuple[Word, ...] | None]]
 
 
-def _factor_ends(w: Sequence[int], a: int) -> list[int]:
-    # the comparison letter is w's last, so the final factor always closes
-    if w[-1] <= a:
-        return [i for i, b in enumerate(w) if b <= a]
-    return [i for i, b in enumerate(w) if b > a]
+def foata_step(w: Sequence[int], a: int, *, factors: list[Word] | None = None) -> Word:
+    """Next stage of the construction: w cut into factors, each factor
+    rotated, then a appended.  With w = foata(v) this is foata(v + (a,)).
+
+    One pass over w with a pending-factor buffer; the letters are not
+    validated.  If factors is a list, the factors of w are appended to it.
+    """
+    if not w:
+        return (a,)
+    low = w[-1] <= a  # which cut rule applies; w's last letter always closes
+    out: list[int] = []
+    pending: list[int] = []
+    for b in w:
+        if (b <= a) == low:
+            if factors is not None:
+                factors.append((*pending, b))
+            out.append(b)
+            if pending:
+                out += pending
+                pending = []
+        else:
+            pending.append(b)
+    out.append(a)
+    return tuple(out)
+
+
+def foata(v: Sequence[int]) -> Word:
+    """Image of v under the bijection; a rearrangement of v with
+    inv(foata(v)) = maj(v)."""
+    w: Word = ()
+    for a in as_word(v):
+        w = foata_step(w, a)
+    return w
 
 
 def foata_trace(v: Sequence[int]) -> Trace:
@@ -31,48 +69,52 @@ def foata_trace(v: Sequence[int]) -> Trace:
     Stage i is (w_i, factors), where the factors are the ones used to
     build w_{i+1}; the final stage, the image itself, carries None.
     """
-    v = as_word(v)
     stages: Trace = []
-    w: list[int] = []
-    for a in v:
-        if not w:
-            w = [a]
-            continue
-        ends = _factor_ends(w, a)
+    w: Word = ()
+    for a in as_word(v):
         factors: list[Word] = []
-        nw: list[int] = []
-        start = 0
-        for e in ends:
-            factors.append(tuple(w[start : e + 1]))
-            nw.append(w[e])
-            nw.extend(w[start:e])
-            start = e + 1
-        stages.append((tuple(w), tuple(factors)))
-        nw.append(a)
-        w = nw
-    if v:
-        stages.append((tuple(w), None))
+        nxt = foata_step(w, a, factors=factors)
+        if w:
+            stages.append((w, tuple(factors)))
+        w = nxt
+    if w:
+        stages.append((w, None))
     return stages
 
 
-def foata(v: Sequence[int]) -> Word:
-    """Image of v under the bijection; a rearrangement of v with
-    inv(foata(v)) = maj(v)."""
-    v = as_word(v)
-    w: list[int] = []
-    for a in v:
-        if not w:
-            w = [a]
-            continue
-        nw: list[int] = []
-        start = 0
-        for e in _factor_ends(w, a):
-            nw.append(w[e])
-            nw.extend(w[start:e])
-            start = e + 1
-        nw.append(a)
-        w = nw
-    return tuple(w)
+def foata_words(alphabet: Sequence[int], n: int) -> Iterator[tuple[Word, Word]]:
+    """(v, foata(v)) for every word v of length n over alphabet, in
+    itertools.product order.
+
+    A depth-first walk of the prefix tree with an explicit stack, so no
+    level is ever held in memory: each image is one step from its
+    prefix's image, and the stack holds at most len(alphabet) entries
+    per level.
+    """
+    alphabet = as_word(alphabet)
+    if n < 0:
+        raise ValueError(f"word length must be non-negative, got {n}")
+    return _foata_words(alphabet, n)
+
+
+def _foata_words(alphabet: Word, n: int) -> Iterator[tuple[Word, Word]]:
+    if n == 0:
+        yield (), ()
+        return
+    # (u, foata(u), a) stands for the unvisited child u + (a,).  Its image
+    # is computed only when it is popped, just before its subtree is
+    # walked, so a step that raises does so at the same word as folding
+    # each word of itertools.product in turn would.
+    backwards = alphabet[::-1]
+    stack = [((), (), a) for a in backwards]
+    while stack:
+        v, w, a = stack.pop()
+        v += (a,)
+        w = foata_step(w, a)
+        if len(v) == n:
+            yield v, w
+        else:
+            stack.extend([(v, w, b) for b in backwards])
 
 
 def foata_inverse(w: Sequence[int]) -> Word:
@@ -81,24 +123,27 @@ def foata_inverse(w: Sequence[int]) -> Word:
     After a rotation each factor starts with its old closing letter, so
     comparing the first remaining letter against the peeled letter
     recovers which cutting rule applied, and the factor starts with it.
+    Each peel is one pass that carries the current factor's head and
+    emits it when the next factor starts.
     """
-    w = as_word(w)
     out: list[int] = []
-    cur = list(w)
+    cur = list(as_word(w))
     while cur:
         a = cur.pop()
         out.append(a)
         if not cur:
             break
-        if cur[0] <= a:
-            starts = [i for i, b in enumerate(cur) if b <= a]
-        else:
-            starts = [i for i, b in enumerate(cur) if b > a]
+        letters = iter(cur)
+        head = next(letters)
+        low = head <= a
         nxt: list[int] = []
-        for k, st in enumerate(starts):
-            end = starts[k + 1] if k + 1 < len(starts) else len(cur)
-            nxt.extend(cur[st + 1 : end])
-            nxt.append(cur[st])
+        for b in letters:
+            if (b <= a) == low:
+                nxt.append(head)
+                head = b
+            else:
+                nxt.append(b)
+        nxt.append(head)
         cur = nxt
     out.reverse()
     return tuple(out)

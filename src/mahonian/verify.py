@@ -25,7 +25,15 @@ import time
 from dataclasses import dataclass
 
 from . import bijections as B
-from .foata import foata, foata_binary, foata_inverse, foata_inverse_binary, foata_trace
+from .foata import (
+    foata,
+    foata_binary,
+    foata_inverse,
+    foata_inverse_binary,
+    foata_step,
+    foata_trace,
+    foata_words,
+)
 from . import genfun as G
 from . import partitions as P
 from . import words as W
@@ -174,8 +182,7 @@ def _chk_worked_example():
 def _chk_maj_inv(binary_len, ternary_len):
     for alphabet, cap in (((1, 2), binary_len), ((1, 2, 3), ternary_len)):
         for n in range(cap + 1):
-            for v in itertools.product(alphabet, repeat=n):
-                w = foata(v)
+            for v, w in foata_words(alphabet, n):
                 if W.maj(v) != W.inv(w):
                     raise Counterexample(f"v={W.format_word(v)}")
                 if sorted(w) != sorted(v):
@@ -190,8 +197,8 @@ def _chk_maj_inv(binary_len, ternary_len):
 )
 def _chk_roundtrip(ternary_len):
     for n in range(ternary_len + 1):
-        for v in itertools.product((1, 2, 3), repeat=n):
-            if foata_inverse(foata(v)) != v:
+        for v, w in foata_words((1, 2, 3), n):
+            if foata_inverse(w) != v:
                 raise Counterexample(f"v={W.format_word(v)}")
 
 
@@ -204,20 +211,20 @@ def _chk_roundtrip(ternary_len):
 )
 def _chk_binary_forms(max_len):
     for n in range(max_len + 1):
-        for v in itertools.product((1, 2), repeat=n):
-            w = foata(v)
+        for v, w in foata_words((1, 2), n):
             if foata_binary(v) != w:
                 raise Counterexample(f"closed form differs at v={W.format_word(v)}")
             if foata_inverse_binary(w) != foata_inverse(w):
                 raise Counterexample(f"binary inverse differs at w={W.format_word(w)}")
     for n in range(max(0, max_len - 2) + 1):
-        for v in itertools.product((1, 2), repeat=n):
-            w = foata(v)
-            if foata(v + (2,)) != w + (2,):
+        for v, w in foata_words((1, 2), n):
+            w2 = foata_step(w, 2)
+            if w2 != w + (2,):
                 raise Counterexample(f"rule w2 fails at {W.format_word(v)}")
-            if foata(v + (1, 1)) != (1,) + foata(v + (1,)):
+            w1 = foata_step(w, 1)
+            if foata_step(w1, 1) != (1,) + w1:
                 raise Counterexample(f"rule w11 fails at {W.format_word(v)}")
-            if foata(v + (2, 1)) != (2,) + w + (1,):
+            if foata_step(w2, 1) != (2,) + w + (1,):
                 raise Counterexample(f"rule w21 fails at {W.format_word(v)}")
 
 
@@ -301,8 +308,8 @@ def _chk_lattice(max_total):
 )
 def _chk_maj_des_durfee(max_len):
     for n in range(max_len + 1):
-        for v in itertools.product((1, 2), repeat=n):
-            lam = P.partition_of_word(foata(v))
+        for v, w in foata_words((1, 2), n):
+            lam = P.partition_of_word(w)
             if W.maj(v) != P.size(lam) or W.des(v) != P.durfee(lam):
                 raise Counterexample(f"v={W.format_word(v)}")
 
@@ -333,8 +340,8 @@ def _chk_excess_pairing(max_n):
 )
 def _chk_excess_rank(max_len):
     for n in range(max_len + 1):
-        for v in itertools.product((1, 2), repeat=n):
-            lam = P.partition_of_word(foata(v))
+        for v, w in foata_words((1, 2), n):
+            lam = P.partition_of_word(w)
             rho = P.ranks(lam)
             d = P.durfee(lam)
             evec, e, _ = W.excess_profile(v)
@@ -708,8 +715,8 @@ def _chk_fib_preimage(max_n):
         return True
 
     for n in range(max_n + 1):
-        for v in itertools.product((1, 2), repeat=n):
-            if _no_adjacent(foata(v), 1) != run_conditions(v):
+        for v, w in foata_words((1, 2), n):
+            if _no_adjacent(w, 1) != run_conditions(v):
                 raise Counterexample(f"v={W.format_word(v)}")
 
 
@@ -755,8 +762,8 @@ def _chk_fib_dual(max_n):
                 if image_member(w)
             }
             _check_sets(img, rhs, W.format_word, f"n={n}, k={k}")
-        for v in itertools.product((1, 2), repeat=n):
-            if _no_adjacent(foata(v), 2) != run_conditions(v):
+        for v, w in foata_words((1, 2), n):
+            if _no_adjacent(w, 2) != run_conditions(v):
                 raise Counterexample(f"run conditions fail at v={W.format_word(v)}")
         lhs = G.distribution(W.fibonacci_dual_words(n), {"q": W.maj, "t": W.des})
         rhs_poly = G.fib_poly(n).substitute({"q": Q**-1, "t": monomial(1, q=n, t=1)})
@@ -806,8 +813,7 @@ def _chk_carlitz(max_coeff):
 )
 def _chk_infinite_images(max_len):
     for n in range(max_len + 1):
-        for v in itertools.product((1, 2), repeat=n):
-            w = foata(v)
+        for v, w in foata_words((1, 2), n):
             lam = P.partition_of_boundary(w) if P.is_boundary_word(w) else None
             in_w21 = v == () or v[-2:] == (2, 1)
             if in_w21 != (lam is not None):

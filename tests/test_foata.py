@@ -1,5 +1,7 @@
 import itertools
+from functools import reduce
 
+import pytest
 from hypothesis import given, strategies as st
 
 from mahonian.foata import (
@@ -7,12 +9,16 @@ from mahonian.foata import (
     foata_binary,
     foata_inverse,
     foata_inverse_binary,
+    foata_step,
     foata_trace,
+    foata_words,
     render_trace,
 )
 from mahonian.words import format_word, inv, maj, parse_word
 
 words = st.lists(st.integers(min_value=1, max_value=6), max_size=20).map(tuple)
+long_words = st.lists(st.integers(min_value=1, max_value=6), max_size=300).map(tuple)
+binary_words = st.lists(st.integers(min_value=1, max_value=2), max_size=40).map(tuple)
 
 
 def test_worked_example():
@@ -96,3 +102,35 @@ def test_roundtrip_and_transport(v):
     assert sorted(w) == sorted(v)
     assert maj(v) == inv(w)
     assert foata_inverse(w) == v
+
+
+@given(words)
+def test_foata_is_fold_of_step(v):
+    assert foata(v) == reduce(foata_step, v, ())
+
+
+@pytest.mark.parametrize("alphabet", [(1, 2), (1, 2, 3), (1, 3, 7)])
+def test_foata_words_is_product_order(alphabet):
+    for n in range(8):
+        expected = [(v, foata(v)) for v in itertools.product(alphabet, repeat=n)]
+        assert list(foata_words(alphabet, n)) == expected
+
+
+def test_foata_words_edges():
+    assert list(foata_words((1, 2), 0)) == [((), ())]
+    assert list(foata_words((), 0)) == [((), ())]
+    assert list(foata_words((), 3)) == []
+    with pytest.raises(ValueError):
+        foata_words((1, 2), -1)
+    with pytest.raises(ValueError):
+        foata_words((0, 1), 2)
+
+
+@given(long_words)
+def test_inverse_roundtrip_long(v):
+    assert foata_inverse(foata(v)) == v
+
+
+@given(binary_words)
+def test_inverse_matches_binary_oracle(w):
+    assert foata_inverse(w) == foata_inverse_binary(w)
