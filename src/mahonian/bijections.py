@@ -5,6 +5,7 @@ the symmetric-chain map on binary words conjugate to it."""
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Iterator, Sequence
 
 from .foata import foata, foata_inverse
@@ -27,6 +28,7 @@ from .words import (
     match_pairs,
     require_binary,
     reverse_complement,
+    walk,
 )
 
 
@@ -86,14 +88,17 @@ def is_twos_composition(comp: Sequence[int]) -> bool:
 
 
 def _compositions(total: int, mins: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    if not mins:
-        if total == 0:
-            yield ()
-        return
-    rest_min = sum(mins[1:])
-    for v in range(mins[0], total - rest_min + 1):
-        for tail in _compositions(total - v, mins[1:]):
-            yield (v,) + tail
+    """Tuples (c_0..c_k) with c_i >= mins[i] summing to total,
+    lexicographically."""
+    floor = [sum(mins[i:]) for i in range(len(mins) + 1)]  # least sum of entries i..
+
+    def branches(state):
+        i, left = state
+        if i == len(mins):
+            return None if not left else ()
+        return ((v, (i + 1, left - v)) for v in range(mins[i], left - floor[i + 1] + 1))
+
+    return (c for c, _ in walk((0, total), branches))
 
 
 def ones_compositions(n: int, d: int) -> Iterator[tuple[int, ...]]:
@@ -244,7 +249,7 @@ def chains(n: int) -> list[list[Word]]:
     chain starts at a word whose unpaired letters are all twos and flips
     them one at a time."""
     out = []
-    for start in _all_binary(n):
+    for start in itertools.product((1, 2), repeat=n):
         pairs, un1, un2 = match_pairs(start)
         if un1:
             continue
@@ -255,12 +260,6 @@ def chains(n: int) -> list[list[Word]]:
             chain.append(w)
         out.append(chain)
     return out
-
-
-def _all_binary(n: int) -> Iterator[Word]:
-    import itertools
-
-    return itertools.product((1, 2), repeat=n)
 
 
 def gk_map(v: Sequence[int]) -> Word:

@@ -148,8 +148,7 @@ def _cmd_enumerate(args) -> int:
         if args.limit is not None and k >= args.limit:
             break
         items.append(item)
-    word_families = not args.family.startswith(("partitions", "box", "rank-", "no-part", "first-difference"))
-    fmt = W.format_word if word_families else P.format_partition
+    fmt = FAMILIES[args.family][2]
     if args.json:
         print(json.dumps({"family": args.family, "items": [fmt(x) for x in items], "count": len(items)}))
     else:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 
-from .words import Word, as_word, ones_twos_compositions, require_binary
+from .words import Word, as_word, ones_twos_compositions, require_binary, walk
 
 Trace = list[tuple[Word, tuple[Word, ...] | None]]
 
@@ -86,35 +86,22 @@ def foata_words(alphabet: Sequence[int], n: int) -> Iterator[tuple[Word, Word]]:
     """(v, foata(v)) for every word v of length n over alphabet, in
     itertools.product order.
 
-    A depth-first walk of the prefix tree with an explicit stack, so no
-    level is ever held in memory: each image is one step from its
-    prefix's image, and the stack holds at most len(alphabet) entries
-    per level.
+    A walk of the prefix tree, so no level is ever held in memory: each
+    image is one step from its prefix's image.  The children of a node
+    come from a generator, so a child's image is computed only just before
+    its subtree is entered, and a step that raises does so at the same
+    word as folding each word of itertools.product in turn would.
     """
     alphabet = as_word(alphabet)
     if n < 0:
         raise ValueError(f"word length must be non-negative, got {n}")
-    return _foata_words(alphabet, n)
 
+    def branches(w: Word):
+        if len(w) == n:
+            return None
+        return ((a, foata_step(w, a)) for a in alphabet)
 
-def _foata_words(alphabet: Word, n: int) -> Iterator[tuple[Word, Word]]:
-    if n == 0:
-        yield (), ()
-        return
-    # (u, foata(u), a) stands for the unvisited child u + (a,).  Its image
-    # is computed only when it is popped, just before its subtree is
-    # walked, so a step that raises does so at the same word as folding
-    # each word of itertools.product in turn would.
-    backwards = alphabet[::-1]
-    stack = [((), (), a) for a in backwards]
-    while stack:
-        v, w, a = stack.pop()
-        v += (a,)
-        w = foata_step(w, a)
-        if len(v) == n:
-            yield v, w
-        else:
-            stack.extend([(v, w, b) for b in backwards])
+    return walk((), branches)
 
 
 def foata_inverse(w: Sequence[int]) -> Word:

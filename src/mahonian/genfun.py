@@ -181,6 +181,8 @@ def lucanomial(n: int, k: int) -> Laurent:
 
 def st_catalan(n: int) -> Laurent:
     """Catalan analogue {2n choose n}/{n+1} of the Lucas sequence."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     return lucanomial(2 * n, n).divide_exact(lucas_poly(n + 1))
 
 
@@ -191,6 +193,8 @@ def st_catalan(n: int) -> Laurent:
 def truncated_product(parts: Iterable[int], degree: int) -> Laurent:
     """Expansion of prod over the given part sizes of 1/(1 - q^p),
     exact through q^degree."""
+    if degree < 0:
+        raise ValueError(f"truncation degree must be nonnegative, got {degree}")
     coeffs = [0] * (degree + 1)
     coeffs[0] = 1
     for p in sorted(set(parts)):

@@ -1,6 +1,9 @@
 """Integer partitions: conjugation, Durfee squares, successive ranks, and
 the dictionary between partitions and binary words (lattice paths and
-southeast boundary words)."""
+southeast boundary words).
+
+Every partition stream is built on partitions_of, a lexicographic
+successor loop (no recursion, so sizes are bounded only by memory)."""
 
 from __future__ import annotations
 
@@ -101,10 +104,6 @@ def durfee_decomposition(p: Sequence[int]) -> tuple[int, Partition, Partition]:
     return d, right, below
 
 
-def fits_in_box(p: Sequence[int], rows: int, cols: int) -> bool:
-    return len(p) <= rows and (not p or p[0] <= cols)
-
-
 def ferrers(p: Sequence[int], dot: str = ".") -> str:
     """Dot-row rendering of the Ferrers diagram."""
     return "\n".join(" ".join(dot for _ in range(part)) for part in p)
@@ -180,24 +179,37 @@ def is_boundary_word(w: Sequence[int]) -> bool:
 
 
 def partitions_of(n: int, max_part: int | None = None, max_len: int | None = None) -> Iterator[Partition]:
-    """Partitions of n, optionally bounded in largest part and part count."""
+    """Partitions of n, optionally bounded in largest part and part count.
+
+    A lexicographic successor loop (after Knuth, TAOCP 7.2.1.4): bump the
+    rightmost part that can grow by one, then refill the later parts with
+    what they held, less one, spread as evenly as max_len allows, larger
+    parts first.  That even fill is the lexicographically least tail, so
+    each partition is the successor of the one before.  A negative max_len
+    caps nothing.
+    """
     if n < 0:
         return
     cap = n if max_part is None else min(max_part, n)
-    room = n if max_len is None else max_len
-
-    # first part ascending gives lexicographic order on tuples
-    def rec(left: int, biggest: int, slots: int) -> Iterator[Partition]:
-        if left == 0:
-            yield ()
+    room = n if max_len is None or max_len < 0 else min(max_len, n)
+    if n and (cap < 1 or cap * room < n):
+        return
+    p: list[int] = []
+    fill = n
+    while True:
+        if fill:
+            slots = min(room - len(p), fill)
+            q, r = divmod(fill, slots)
+            p += [q + 1] * r + [q] * (slots - r)
+        yield tuple(p)
+        i = len(p) - 2
+        while i > 0 and p[i] == p[i - 1]:
+            i -= 1
+        if i < 0 or (i == 0 and p[0] == cap):
             return
-        if slots == 0:
-            return
-        for k in range(1, min(left, biggest) + 1):
-            for rest in rec(left - k, k, slots - 1):
-                yield (k,) + rest
-
-    yield from rec(n, cap, room)
+        fill = sum(p[i + 1 :]) - 1
+        p[i] += 1
+        del p[i + 1 :]
 
 
 def partitions_up_to(max_size: int, **caps) -> Iterator[Partition]:
@@ -244,6 +256,8 @@ def no_part_equal(t: int, max_size: int) -> Iterator[Partition]:
 def parts_off_residues(modulus: int, residue: int, max_part: int) -> list[int]:
     """The parts 1..max_part not congruent to 0, residue, or -residue mod
     modulus: the parts allowed on the product side of the rank sieves."""
+    if modulus < 1:
+        raise ValueError(f"modulus must be positive, got {modulus}")
     banned = {0, residue % modulus, (-residue) % modulus}
     return [i for i in range(1, max_part + 1) if i % modulus not in banned]
 

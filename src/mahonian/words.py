@@ -3,13 +3,19 @@
 A word is any finite sequence of integers >= 1, handled as a plain tuple.
 All functions are pure and positions are 1-based throughout (the major
 index is a sum of positions, so the convention matters).
+
+The word families are loops, never recursions: rearrangements step by
+Algorithm L, and the ballot, Fibonacci and letter-sum families are the
+leaves of a prefix tree visited by walk, which the composition streams
+(bijections) and the Foata image stream (foata) share.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
+from typing import Any
 
 Word = tuple[int, ...]
 
@@ -226,39 +232,63 @@ def avoids_all(w: Sequence[int], patterns: Iterable[Sequence[int]]) -> bool:
 #
 # Fixed-length families stream in lexicographic order with 1 < 2 < ...;
 # variable-length families stream shortest first, then lexicographically.
+# No family recurses, so word length is bounded only by memory.
+
+
+def walk(
+    root: Any, branches: Callable[[Any], Iterable[tuple[int, Any]] | None]
+) -> Iterator[tuple[Word, Any]]:
+    """(word, state) for every leaf of a prefix tree, depth first.
+
+    branches(state) is None at a leaf, and otherwise an iterable of
+    (letter, child_state) pairs in the order the children are visited; an
+    empty iterable is a dead end.  The iterables are consumed lazily, so a
+    child's state is computed just before its subtree is entered.  An
+    explicit stack of child iterators and one shared prefix replace
+    recursion.
+    """
+    kids = branches(root)
+    if kids is None:
+        yield (), root
+        return
+    prefix: list[int] = []
+    stack = [iter(kids)]
+    while stack:
+        for letter, state in stack[-1]:
+            prefix.append(letter)
+            kids = branches(state)
+            if kids is None:
+                yield tuple(prefix), state
+                prefix.pop()
+            else:
+                stack.append(iter(kids))
+                break
+        else:
+            stack.pop()
+            del prefix[-1:]  # the root's children were reached by no letter
 
 
 def permutations_of(w: Sequence[int]) -> Iterator[Word]:
-    """All distinct rearrangements of the multiset w, lexicographically."""
-    counts = Counter(w)
-    letters = sorted(counts)
-    n = len(w)
-    prefix: list[int] = []
+    """All distinct rearrangements of the multiset w, lexicographically.
 
-    def rec() -> Iterator[Word]:
-        if len(prefix) == n:
-            yield tuple(prefix)
+    Algorithm L (Knuth, TAOCP 7.2.1.2): from the sorted word, swap the
+    left letter of the rightmost ascent with the rightmost larger letter
+    after it, then reverse the tail.
+    """
+    a = sorted(w)
+    n = len(a)
+    while True:
+        yield tuple(a)
+        j = n - 2
+        while j >= 0 and a[j] >= a[j + 1]:
+            j -= 1
+        if j < 0:
             return
-        for a in letters:
-            if counts[a]:
-                counts[a] -= 1
-                prefix.append(a)
-                yield from rec()
-                prefix.pop()
-                counts[a] += 1
-
-    return rec()
-
-
-def binary_words(length: int) -> Iterator[Word]:
-    return itertools.product((1, 2), repeat=length)
-
-
-def words_up_to(max_letter: int, max_len: int) -> Iterator[Word]:
-    """All words over 1..max_letter of length <= max_len, shortest first."""
-    alphabet = tuple(range(1, max_letter + 1))
-    for n in range(max_len + 1):
-        yield from itertools.product(alphabet, repeat=n)
+        k = n - 1
+        while a[j] >= a[k]:
+            k -= 1
+        a[j], a[k] = a[k], a[j]
+        a[j + 1 :] = a[:j:-1]
 
 
 def ballot_words(ones: int, twos: int) -> Iterator[Word]:
@@ -269,22 +299,41 @@ def ballot_words(ones: int, twos: int) -> Iterator[Word]:
     """
     if ones < 0 or twos < 0:
         raise ValueError("counts must be nonnegative")
-    prefix: list[int] = []
+    if twos > ones:
+        return iter(())
 
-    def rec(r1: int, r2: int, c1: int, c2: int) -> Iterator[Word]:
-        if not r1 and not r2:
-            yield tuple(prefix)
-            return
-        if r1:
-            prefix.append(1)
-            yield from rec(r1 - 1, r2, c1 + 1, c2)
-            prefix.pop()
-        if r2 and c2 < c1:
-            prefix.append(2)
-            yield from rec(r1, r2 - 1, c1, c2 + 1)
-            prefix.pop()
+    def branches(state):
+        left1, left2, lead = state  # lead: ones minus twos so far
+        if not left1 and not left2:
+            return None
+        kids = []
+        if left1:
+            kids.append((1, (left1 - 1, left2, lead + 1)))
+        if left2 and lead:
+            kids.append((2, (left1, left2 - 1, lead - 1)))
+        return kids
 
-    return rec(ones, twos, 0, 0)
+    return (w for w, _ in walk((ones, twos, 0), branches))
+
+
+def _no_repeated(banned: int, n: int, ones: int | None) -> Iterator[Word]:
+    """Length-n binary words where the banned letter never follows itself,
+    with exactly `ones` ones when given."""
+    if n < 0:
+        raise ValueError(f"word length must be nonnegative, got {n}")
+
+    def branches(state):
+        left, prev, need = state  # need: ones still to place, or None
+        if not left:
+            return None if not need else ()  # a dead end while ones are owed
+        kids = []
+        if (need is None or need > 0) and not (prev == banned == 1):
+            kids.append((1, (left - 1, 1, None if need is None else need - 1)))
+        if not (prev == banned == 2):
+            kids.append((2, (left - 1, 2, need)))
+        return kids
+
+    return (w for w, _ in walk((n, 0, ones), branches))
 
 
 def fibonacci_words(n: int, ones: int | None = None) -> Iterator[Word]:
@@ -293,42 +342,12 @@ def fibonacci_words(n: int, ones: int | None = None) -> Iterator[Word]:
     With ones=k, restrict to words containing exactly k ones.  Counted by
     the Fibonacci numbers (F_{n+1} with F_0 = F_1 = 1).
     """
-    prefix: list[int] = []
-
-    def rec(left: int, prev: int) -> Iterator[Word]:
-        if left == 0:
-            if ones is None or prefix.count(1) == ones:
-                yield tuple(prefix)
-            return
-        if prev != 1:
-            prefix.append(1)
-            yield from rec(left - 1, 1)
-            prefix.pop()
-        prefix.append(2)
-        yield from rec(left - 1, 2)
-        prefix.pop()
-
-    return rec(n, 0)
+    return _no_repeated(1, n, ones)
 
 
 def fibonacci_dual_words(n: int, ones: int | None = None) -> Iterator[Word]:
     """Length-n binary words with no two adjacent twos."""
-    prefix: list[int] = []
-
-    def rec(left: int, prev: int) -> Iterator[Word]:
-        if left == 0:
-            if ones is None or prefix.count(1) == ones:
-                yield tuple(prefix)
-            return
-        prefix.append(1)
-        yield from rec(left - 1, 1)
-        prefix.pop()
-        if prev != 2:
-            prefix.append(2)
-            yield from rec(left - 1, 2)
-            prefix.pop()
-
-    return rec(n, 0)
+    return _no_repeated(2, n, ones)
 
 
 def letter_sum_words(total: int) -> Iterator[Word]:
@@ -339,17 +358,12 @@ def letter_sum_words(total: int) -> Iterator[Word]:
     if total < 0:
         raise ValueError("total must be nonnegative")
 
-    def rec(left: int) -> Iterator[Word]:
-        if left == 0:
-            yield ()
-            return
-        for w in rec(left - 1):
-            yield (1,) + w
-        if left >= 2:
-            for w in rec(left - 2):
-                yield (2,) + w
+    def branches(left):
+        if not left:
+            return None
+        return ((1, left - 1), (2, left - 2)) if left >= 2 else ((1, 0),)
 
-    return rec(total)
+    return (w for w, _ in walk(total, branches))
 
 
 def excess_class(n: int, k: int) -> Iterator[Word]:

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from mahonian.bijections import (
@@ -75,6 +77,9 @@ def test_composition_counts_match_triangle():
     for n in range(7):
         for d in range(n // 2 + 1):
             triangle = math.comb(n, d) - (math.comb(n, d - 1) if d else 0)
+            tuples = [c for c in itertools.product(range(n + 1), repeat=d + 1) if sum(c) == n]
+            assert list(ones_compositions(n, d)) == [c for c in tuples if is_ones_composition(c)]
+            assert list(twos_compositions(n, d)) == [c for c in tuples if is_twos_composition(c)]
             assert sum(1 for _ in ones_compositions(n, d)) == triangle
             assert sum(1 for _ in twos_compositions(n, d)) == triangle
             assert {ones_composition_word(c) for c in ones_compositions(n, d)} == set(

@@ -1,6 +1,14 @@
+import contextlib
+import io
 import json
+import sys
 
-from mahonian.cli import main
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from mahonian.cli import _GENFUN, _int_bounds, main
+from mahonian.families import FAMILIES
+from mahonian.verify import CHECKS
 
 
 def run_cli(capsys, *argv):
@@ -256,3 +264,83 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "maj=9"
+
+
+def test_domain_errors_are_usage_errors(capsys):
+    for argv in (
+        ["genfun", "product-mod", "0", "1"],
+        ["enumerate", "no-part-mod", "0", "1", "5"],
+        ["genfun", "product-no-part", "1", "--truncate", "-1"],
+        ["genfun", "st-catalan", "-1"],
+        ["enumerate", "fib", "-1"],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith("error: ")
+
+
+_DEEP = sys.getrecursionlimit() + 50
+_DEEP_CASES = [
+    ("ballot", "1200", "1" * 1200 + "2" * 1200),
+    ("partitions", "1200", "(" + ",".join("1" * 1200) + ")"),
+    ("letter-sum", "1500", "1" * 1500),
+    ("fib", "1200", "12" * 600),
+    ("fib-dual", str(_DEEP), "1" * _DEEP),
+    ("perms", "2" + "1" * _DEEP, "1" * _DEEP + "2"),
+]
+
+
+@pytest.mark.parametrize("family, param, first", _DEEP_CASES, ids=[c[0] for c in _DEEP_CASES])
+def test_enumerate_deep_family(capsys, family, param, first):
+    code, out, err = run_cli(capsys, "enumerate", family, param, "--limit", "1")
+    assert code == 0
+    assert err == ""
+    assert out.splitlines() == [first]
+
+
+_num = st.integers(min_value=-3, max_value=8).map(str)
+# no multi-digit integers among enumerate's parameters: "excess 21 5" or
+# "avoid 21 12" scan astronomically many words before their first item
+_param = st.one_of(_num, st.sampled_from(["", "x", "-", "1,2", "10,2", "(2,1)", "()"]))
+_token = st.one_of(_param, st.sampled_from(["21", "121", "21213", "(2,2,1)", "(1,x)"]))
+_maps = ["phi", "phi-inv", "beta", "csv", "gk", "gk-inv", "prime", "lambda", "boundary", "nope"]
+
+
+@st.composite
+def _argv(draw):
+    argv = ["--json"] if draw(st.booleans()) else []
+    command = draw(st.sampled_from(["stat", "map", "enumerate", "genfun", "verify"]))
+    argv.append(command)
+    if command == "stat":
+        argv.append(draw(_token))
+        argv += draw(st.lists(st.sampled_from(["--maj", "--inv", "--des", "--exc", "--excess", "--pairs"]), max_size=3))
+    elif command == "map":
+        argv += [draw(st.sampled_from(_maps)), draw(_token)]
+        argv += ["--trace"] if draw(st.booleans()) else []
+    elif command == "enumerate":
+        argv.append(draw(st.sampled_from(sorted(FAMILIES) + ["nope"])))
+        argv += draw(st.one_of(st.lists(_num, min_size=1, max_size=3), st.lists(_param, max_size=3)))
+        argv += ["--limit", draw(_num)]
+    elif command == "genfun":
+        argv.append(draw(st.sampled_from(sorted(_GENFUN) + ["product-no-part", "product-mod", "nope"])))
+        argv += draw(st.lists(_num, min_size=1, max_size=3))
+        argv += ["--truncate", draw(_num)] if draw(st.booleans()) else []
+    else:
+        argv += draw(st.lists(st.sampled_from(sorted(CHECKS) + ["nope"]), min_size=1, max_size=2))
+        for flag in draw(st.lists(st.sampled_from(_int_bounds()), max_size=2)):
+            # bounds stop at 5: pattern-pairs alone takes seconds at 8
+            argv += [f"--{flag.replace('_', '-')}", str(draw(st.integers(min_value=-3, max_value=5)))]
+    return argv
+
+
+@settings(max_examples=300)
+@given(_argv())
+def test_exit_code_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert "verify" in argv
+    assert "Traceback" not in err.getvalue()

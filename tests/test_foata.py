@@ -1,4 +1,5 @@
 import itertools
+import sys
 from functools import reduce
 
 import pytest
@@ -124,6 +125,29 @@ def test_foata_words_edges():
         foata_words((1, 2), -1)
     with pytest.raises(ValueError):
         foata_words((0, 1), 2)
+
+
+def test_foata_words_raises_where_the_fold_does(monkeypatch):
+    F = sys.modules["mahonian.foata"]
+    real_step = F.foata_step
+
+    def step(w, a, **kw):
+        if w == (1,) and a == 2:  # the image of (1, 2), a second child
+            raise ArithmeticError("synthetic")
+        return real_step(w, a, **kw)
+
+    monkeypatch.setattr(F, "foata_step", step)
+    seen = []
+    with pytest.raises(ArithmeticError):
+        for v, _ in foata_words((1, 2), 3):
+            seen.append(v)
+    assert seen == [(1, 1, 1), (1, 1, 2)]
+
+
+def test_foata_words_deeper_than_the_recursion_limit():
+    n = sys.getrecursionlimit() + 50
+    v, w = next(foata_words((1, 2), n))
+    assert v == w == (1,) * n
 
 
 @given(long_words)

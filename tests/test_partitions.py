@@ -1,3 +1,6 @@
+import itertools
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -120,7 +123,27 @@ def test_inv_equals_size():
 def test_partition_streams():
     assert list(partitions_of(4)) == [(1, 1, 1, 1), (2, 1, 1), (2, 2), (3, 1), (4,)]
     assert list(partitions_of(0)) == [()]
+    assert list(partitions_of(-1)) == []
     assert sum(1 for _ in partitions_in_box(2, 2)) == 6
+    assert list(partitions_in_box(2, 2)) == [(), (1,), (1, 1), (2,), (2, 1), (2, 2)]
+    caps = [None, *range(7)]
+    for n in range(10):
+        # parts drawn from n..1 come out weakly decreasing
+        every = sorted(
+            p
+            for k in range(n + 1)
+            for p in itertools.combinations_with_replacement(range(n, 0, -1), k)
+            if sum(p) == n
+        )
+        for max_part in caps:
+            for max_len in caps:
+                expected = [
+                    p
+                    for p in every
+                    if (max_part is None or not p or p[0] <= max_part)
+                    and (max_len is None or len(p) <= max_len)
+                ]
+                assert list(partitions_of(n, max_part=max_part, max_len=max_len)) == expected
     # no-part-one partitions of 5: (5) and (3,2)
     assert [p for p in no_part_equal(1, 5) if size(p) == 5] == [(3, 2), (5,)]
     assert ([()] == [p for p in rank_at_least(1, 0)]) and ([()] == [p for p in rank_at_most(-1, 0)])
@@ -149,3 +172,11 @@ def test_delta():
     assert delta(()) == 0
     assert delta((4,)) == 4
     assert delta((4, 4, 1)) == 0
+
+
+def test_partitions_deeper_than_the_recursion_limit():
+    n = sys.getrecursionlimit() + 50
+    stream = partitions_of(n)
+    assert next(stream) == (1,) * n
+    assert next(stream) == (2,) + (1,) * (n - 2)
+    assert next(partitions_of(n, max_len=2)) == ((n + 1) // 2, n // 2)

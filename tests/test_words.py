@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -153,6 +154,10 @@ def test_avoidance_counts():
         assert sum(1 for _ in pattern_class(4, [pat])) == 14
 
 
+def _no_repeat(w, letter):
+    return all(not (a == b == letter) for a, b in zip(w, w[1:]))
+
+
 def test_family_counts():
     assert sum(1 for _ in ballot_words(3, 3)) == 5
     assert list(ballot_words(3, 3)) == [
@@ -168,6 +173,22 @@ def test_family_counts():
     assert {format_word(w) for w in letter_sum_words(5)} == {
         "11111", "1112", "1121", "1211", "2111", "122", "212", "221",
     }
+    for ones in range(6):
+        for twos in range(6):
+            letters = (1,) * ones + (2,) * twos
+            expected = sorted(w for w in set(itertools.permutations(letters)) if is_ballot(w))
+            assert list(ballot_words(ones, twos)) == expected
+    for n in range(10):
+        for banned, family in ((1, fibonacci_words), (2, fibonacci_dual_words)):
+            allowed = [w for w in itertools.product((1, 2), repeat=n) if _no_repeat(w, banned)]
+            assert list(family(n)) == allowed
+            for ones in range(-1, n + 2):
+                assert list(family(n, ones)) == [w for w in allowed if w.count(1) == ones]
+    for total in range(12):
+        expected = sorted(
+            w for m in range(total + 1) for w in itertools.product((1, 2), repeat=m) if sum(w) == total
+        )
+        assert list(letter_sum_words(total)) == expected
 
 
 def test_permutations_of_is_lex_and_complete():
@@ -175,6 +196,30 @@ def test_permutations_of_is_lex_and_complete():
     assert got == [(1, 1, 2), (1, 2, 1), (2, 1, 1)]
     n = sum(1 for _ in permutations_of((1, 1, 2, 2, 3)))
     assert n == 30
+    assert list(permutations_of(())) == [()]
+    for w in [(2,), (3, 1, 2), (1, 1, 2, 2, 3), (3, 1, 2, 1, 3, 2), (5, 5, 5), (2, 2, 1, 1, 1, 4)]:
+        assert list(permutations_of(w)) == sorted(set(itertools.permutations(w)))
+
+
+def test_family_validation_is_eager():
+    with pytest.raises(ValueError):
+        ballot_words(-1, 0)
+    with pytest.raises(ValueError):
+        letter_sum_words(-1)
+    with pytest.raises(ValueError):
+        fibonacci_words(-1)
+    with pytest.raises(ValueError):
+        fibonacci_dual_words(-2, 1)
+
+
+def test_families_deeper_than_the_recursion_limit():
+    n = sys.getrecursionlimit() + 50
+    first = next(permutations_of((2,) + (1,) * n))
+    assert first == (1,) * n + (2,)
+    assert next(fibonacci_dual_words(n)) == (1,) * n
+    assert next(fibonacci_words(n)) == (1, 2) * (n // 2) + (1,) * (n % 2)
+    assert next(ballot_words(n, n)) == (1,) * n + (2,) * n
+    assert next(letter_sum_words(n)) == (1,) * n
 
 
 def test_suffix_words_require_cap():
