@@ -10,6 +10,7 @@ from .bijections import (
     ballot_split,
     ballot_unsplit,
     chains,
+    csv_chain,
     csv_map,
     csv_step,
     csv_trace,

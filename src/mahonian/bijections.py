@@ -11,9 +11,9 @@ from collections.abc import Iterator, Sequence
 from .foata import foata, foata_inverse
 from .partitions import (
     Partition,
+    all_ranks,
     as_partition,
     boundary_word,
-    conjugate,
     delta,
     max_rank,
     max_rank_index,
@@ -141,82 +141,79 @@ def twos_composition_word(comp: Sequence[int]) -> Word:
 
 
 # ---------------------------------------------------------------------------
-# rank reduction on partitions (one loop pass, then the full map)
+# rank reduction on partitions (one pass, the chain of passes, and the map)
 
 
 def csv_step(p: Sequence[int]) -> Partition:
     """One rank-reduction pass: with i the largest index attaining the
-    maximum rank, remove a part of size i from the conjugate, add a part
-    of size i-1, and lengthen the first part by one.  Preserves the size;
-    while the maximum rank r is nonnegative it drops to at most r-1, with
-    equality when r > 0."""
+    maximum rank, remove a column of height i (shorten the first i parts
+    by one), add a part of size i-1, and lengthen the first part by one.
+    Preserves the size.  Along csv_chain the maximum rank r drops to at
+    most r-1, with equality when r > 0; outside that domain a pass may
+    change nothing (csv_step((2, 1)) == (2, 1))."""
     p = as_partition(p)
-    r = max_rank(p)
-    if r is None or r < 0:
+    rho = ranks(p)
+    r = max(rho, default=-1)
+    if r < 0:
         raise ValueError("rank reduction needs a nonnegative maximum rank")
-    i = max_rank_index(p)
-    cols = list(conjugate(p))
-    if i not in cols:
-        raise ValueError(f"no column of height {i} to remove from {p}")
-    cols.remove(i)
-    parts = list(conjugate(tuple(cols)))
+    i = len(rho) - rho[::-1].index(r)
+    # i is the last index of the maximum, so p_i > p_(i+1): the column of
+    # height i exists and the shortened parts stay weakly decreasing
+    parts = [a - 1 for a in p[:i]] + list(p[i:])
     if i > 1:
         parts.append(i - 1)
         parts.sort(reverse=True)
-    if parts:
-        parts[0] += 1
-    else:
-        parts = [1]
+    parts[0] += 1
     return tuple(parts)
 
 
-def csv_map(p: Sequence[int]) -> Partition:
-    """Iterate csv_step until every rank is negative.
+def csv_chain(p: Sequence[int]) -> Iterator[Partition]:
+    """The rank-reduction chain p, csv_step(p), ... up to the first stage
+    whose ranks are all negative (p itself if they already are).
 
-    Defined on partitions whose first two parts agree (plus anything that
-    already has all ranks negative, which passes through unchanged); the
-    result has the same size and all ranks negative.
+    Defined on partitions whose first two parts agree, plus anything that
+    already has all ranks negative; the domain is checked at call time.
     """
     p = as_partition(p)
-    r = max_rank(p)
-    if r is None or r < 0:
-        return p
-    if delta(p) != 0:
+    if delta(p) != 0 and not all_ranks(p, lambda r: r < 0):
         raise ValueError("first two parts must agree (or all ranks be negative)")
-    while True:
-        p = csv_step(p)
-        r = max_rank(p)
-        if r is None or r < 0:
-            return p
+
+    def stages(p):
+        yield p
+        while not all_ranks(p, lambda r: r < 0):
+            p = csv_step(p)
+            yield p
+
+    return stages(p)
+
+
+def csv_map(p: Sequence[int]) -> Partition:
+    """The last stage of csv_chain: a partition of the same size with all
+    ranks negative."""
+    *_, last = csv_chain(p)
+    return last
 
 
 def csv_trace(p: Sequence[int]) -> list[dict]:
-    """Stage-by-stage record of csv_map: partition, rank vector, maximum
+    """Stage-by-stage record of csv_chain: partition, rank vector, maximum
     rank and its index, the boundary word, its preimage under the
     fundamental bijection, and the preimage's excess vector."""
-    p = as_partition(p)
-    if max_rank(p) is not None and max_rank(p) >= 0 and delta(p) != 0:
-        raise ValueError("first two parts must agree (or all ranks be negative)")
     stages = []
-    while True:
-        w = boundary_word(p)
+    for q in csv_chain(p):
+        w = boundary_word(q)
         v = foata_inverse(w)
-        evec = excess_profile(v)[0] if v else ()
-        r = max_rank(p)
         stages.append(
             {
-                "partition": p,
-                "rho": ranks(p),
-                "r": r,
-                "i": max_rank_index(p),
+                "partition": q,
+                "rho": ranks(q),
+                "r": max_rank(q),
+                "i": max_rank_index(q),
                 "word": w,
                 "preimage": v,
-                "excesses": evec,
+                "excesses": excess_profile(v)[0] if v else (),
             }
         )
-        if r is None or r < 0:
-            return stages
-        p = csv_step(p)
+    return stages
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ harness compatibility.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 
@@ -142,12 +143,9 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    stream = enumerate_family(args.family, *args.params)
-    items = []
-    for k, item in enumerate(stream):
-        if args.limit is not None and k >= args.limit:
-            break
-        items.append(item)
+    if args.limit is not None and args.limit < 0:
+        raise ValueError(f"limit must be nonnegative, got {args.limit}")
+    items = list(itertools.islice(enumerate_family(args.family, *args.params), args.limit))
     fmt = FAMILIES[args.family][2]
     if args.json:
         print(json.dumps({"family": args.family, "items": [fmt(x) for x in items], "count": len(items)}))

@@ -1,15 +1,17 @@
 """Exact sparse Laurent polynomials in the variables q, t, z, s.
 
-Terms live in a dict mapping length-4 integer exponent vectors (exponents
-may be negative) to nonzero integer coefficients; coefficients are plain
-Python ints, so there is no overflow.  Equality is term-map equality and
-zero coefficients are never stored.
+Terms live in a private dict mapping length-4 integer exponent vectors
+(exponents may be negative) to nonzero integer coefficients, read through
+the read-only terms mapping, so a polynomial never changes and is safe to
+hash.  Coefficients are plain Python ints, so there is no overflow.
+Equality is term-map equality and zero coefficients are never stored.
 """
 
 from __future__ import annotations
 
 import re
 from collections.abc import Mapping, Sequence
+from types import MappingProxyType
 
 VARS = ("q", "t", "z", "s")
 _NVARS = len(VARS)
@@ -21,15 +23,28 @@ class ExactDivisionError(ArithmeticError):
 
 
 class Laurent:
-    __slots__ = ("terms",)
+    __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[tuple[int, ...], int] | None = None):
         if terms:
-            self.terms = {tuple(e): c for e, c in terms.items() if c}
+            self._terms = {tuple(e): c for e, c in terms.items() if c}
         else:
-            self.terms = {}
+            self._terms = {}
+
+    @property
+    def terms(self) -> Mapping[tuple[int, ...], int]:
+        """The exponent vector -> coefficient map, read-only."""
+        return MappingProxyType(self._terms)
 
     # -- construction -------------------------------------------------------
+
+    @classmethod
+    def _of(cls, terms: dict[tuple[int, ...], int]) -> "Laurent":
+        """Wrap a dict of nonzero coefficients that no one else holds,
+        without copying it."""
+        poly = cls.__new__(cls)
+        poly._terms = terms
+        return poly
 
     @classmethod
     def const(cls, c: int) -> "Laurent":
@@ -42,10 +57,10 @@ class Laurent:
         return cls({tuple(e): 1})
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._terms)
 
     # -- ring operations ----------------------------------------------------
 
@@ -54,27 +69,25 @@ class Laurent:
             other = Laurent.const(other)
         if not isinstance(other, Laurent):
             return NotImplemented
-        return self.terms == other.terms
+        return self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
+        return hash(frozenset(self._terms.items()))
 
     def __neg__(self) -> "Laurent":
-        return Laurent({e: -c for e, c in self.terms.items()})
+        return Laurent({e: -c for e, c in self._terms.items()})
 
     def __add__(self, other: "Laurent | int") -> "Laurent":
         if isinstance(other, int):
             other = Laurent.const(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
+        out = dict(self._terms)
+        for e, c in other._terms.items():
             nc = out.get(e, 0) + c
             if nc:
                 out[e] = nc
             else:
                 out.pop(e, None)
-        res = Laurent()
-        res.terms = out
-        return res
+        return Laurent._of(out)
 
     __radd__ = __add__
 
@@ -90,28 +103,26 @@ class Laurent:
         if isinstance(other, int):
             if other == 0:
                 return Laurent()
-            return Laurent({e: c * other for e, c in self.terms.items()})
+            return Laurent({e: c * other for e, c in self._terms.items()})
         out: dict[tuple[int, ...], int] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
+        for e1, c1 in self._terms.items():
+            for e2, c2 in other._terms.items():
                 e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2], e1[3] + e2[3])
                 nc = out.get(e, 0) + c1 * c2
                 if nc:
                     out[e] = nc
                 else:
                     del out[e]
-        res = Laurent()
-        res.terms = out
-        return res
+        return Laurent._of(out)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Laurent":
         if n < 0:
             # only unit monomials are invertible over the integers
-            if len(self.terms) != 1:
+            if len(self._terms) != 1:
                 raise ValueError("negative power of a non-monomial")
-            (e, c) = next(iter(self.terms.items()))
+            (e, c) = next(iter(self._terms.items()))
             if c not in (1, -1):
                 raise ValueError("negative power needs coefficient +-1")
             inv = Laurent({tuple(-x for x in e): c})
@@ -139,16 +150,16 @@ class Laurent:
         if self.is_zero():
             return Laurent()
         lo = tuple(
-            min(e[i] for e in self.terms) - min(e[i] for e in divisor.terms)
+            min(e[i] for e in self._terms) - min(e[i] for e in divisor._terms)
             for i in range(_NVARS)
         )
         hi = tuple(
-            max(e[i] for e in self.terms) - max(e[i] for e in divisor.terms)
+            max(e[i] for e in self._terms) - max(e[i] for e in divisor._terms)
             for i in range(_NVARS)
         )
-        dlead = max(divisor.terms)
-        dcoef = divisor.terms[dlead]
-        rem = dict(self.terms)
+        dlead = max(divisor._terms)
+        dcoef = divisor._terms[dlead]
+        rem = dict(self._terms)
         quo: dict[tuple[int, ...], int] = {}
         while rem:
             rlead = max(rem)
@@ -159,16 +170,14 @@ class Laurent:
             if any(qe[i] < lo[i] or qe[i] > hi[i] for i in range(_NVARS)):
                 raise ExactDivisionError(f"nonzero remainder dividing {self} by {divisor}")
             quo[qe] = quo.get(qe, 0) + qc
-            for e, c in divisor.terms.items():
+            for e, c in divisor._terms.items():
                 key = tuple(a + b for a, b in zip(qe, e))
                 nc = rem.get(key, 0) - qc * c
                 if nc:
                     rem[key] = nc
                 else:
                     rem.pop(key, None)
-        res = Laurent()
-        res.terms = {e: c for e, c in quo.items() if c}
-        return res
+        return Laurent._of({e: c for e, c in quo.items() if c})
 
     def substitute(self, mapping: Mapping[str, "Laurent"]) -> "Laurent":
         """Simultaneous substitution of polynomials for variables.
@@ -179,7 +188,7 @@ class Laurent:
         idx = {name: VARS.index(name) for name in mapping}
         powers: dict[tuple[str, int], Laurent] = {}
         result = Laurent()
-        for e, c in self.terms.items():
+        for e, c in self._terms.items():
             residual = tuple(0 if VARS[i] in mapping else e[i] for i in range(_NVARS))
             term = Laurent({residual: c})
             for name, target in mapping.items():
@@ -196,35 +205,35 @@ class Laurent:
     # -- queries -------------------------------------------------------------
 
     def coefficient(self, q: int = 0, t: int = 0, z: int = 0, s: int = 0) -> int:
-        return self.terms.get((q, t, z, s), 0)
+        return self._terms.get((q, t, z, s), 0)
 
     def degree(self, var: str = "q") -> int | None:
         """Largest exponent of var, or None for the zero polynomial."""
-        if not self.terms:
+        if not self._terms:
             return None
         i = VARS.index(var)
-        return max(e[i] for e in self.terms)
+        return max(e[i] for e in self._terms)
 
     def truncate(self, var: str = "q", max_degree: int = 0) -> "Laurent":
         """Drop terms whose exponent of var exceeds max_degree."""
         i = VARS.index(var)
-        return Laurent({e: c for e, c in self.terms.items() if e[i] <= max_degree})
+        return Laurent({e: c for e, c in self._terms.items() if e[i] <= max_degree})
 
     def uses_only(self, *names: str) -> bool:
         allowed = {VARS.index(n) for n in names}
         return all(
-            all(e[i] == 0 for i in range(_NVARS) if i not in allowed) for e in self.terms
+            all(e[i] == 0 for i in range(_NVARS) if i not in allowed) for e in self._terms
         )
 
     # -- serialization -------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self._terms:
             return "0"
         display_order = ((0, "q"), (3, "s"), (1, "t"), (2, "z"))
         bits: list[tuple[str, str]] = []
-        for e in sorted(self.terms):
-            c = self.terms[e]
+        for e in sorted(self._terms):
+            c = self._terms[e]
             factors = []
             for i, name in display_order:
                 k = e[i]
@@ -246,7 +255,7 @@ class Laurent:
 
     def to_json(self) -> list[dict]:
         return [
-            {"exponents": list(e), "coeff": self.terms[e]} for e in sorted(self.terms)
+            {"exponents": list(e), "coeff": self._terms[e]} for e in sorted(self._terms)
         ]
 
     @classmethod

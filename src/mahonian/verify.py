@@ -126,6 +126,16 @@ def _check_sets(left: set, right: set, fmt=str, label: str = "") -> None:
     raise Counterexample(f"{prefix}{missing[0]} is in the right set only")
 
 
+def _check_image(family, ones: int, twos: int, member, label: str) -> set:
+    """Raise Counterexample unless the image of family under the
+    fundamental bijection is exactly the rearrangements of 1^ones 2^twos
+    satisfying member; return the image."""
+    image = {foata(v) for v in family}
+    target = {w for w in W.permutations_of((1,) * ones + (2,) * twos) if member(w)}
+    _check_sets(image, target, W.format_word, label)
+    return image
+
+
 def check_mahonian_pair(S, T, label: str = "") -> None:
     """Compare the maj distribution over S with the inv distribution over T.
 
@@ -362,6 +372,10 @@ def _chk_excess_rank(max_len):
 # ballot words and the Catalan layer
 
 
+def _path_ranks_negative(w):
+    return P.all_ranks(P.partition_of_word(w), lambda r: r < 0)
+
+
 @_register(
     "ballot-rank-image",
     "the image of the square ballot words is exactly the words whose path "
@@ -371,13 +385,7 @@ def _chk_excess_rank(max_len):
 )
 def _chk_ballot_image(max_n):
     for n in range(max_n + 1):
-        img = {foata(v) for v in W.ballot_words(n, n)}
-        rhs = {
-            w
-            for w in W.permutations_of((1,) * n + (2,) * n)
-            if P.all_ranks(P.partition_of_word(w), lambda r: r < 0)
-        }
-        _check_sets(img, rhs, W.format_word, f"n={n}")
+        img = _check_image(W.ballot_words(n, n), n, n, _path_ranks_negative, f"n={n}")
         check_mahonian_pair(W.ballot_words(n, n), img, f"n={n} pair with image")
 
 
@@ -397,6 +405,14 @@ def _ballot_preimage_condition(v, k, l):
     return True
 
 
+def _check_ballot_preimages(k, l, prefix):
+    """Raise Counterexample at the first rearrangement v of 1^k 2^l where
+    a ballot image and the preimage condition disagree."""
+    for v in W.permutations_of((1,) * k + (2,) * l):
+        if W.is_ballot(foata(v)) != _ballot_preimage_condition(v, k, l):
+            raise Counterexample(f"{prefix}v={W.format_word(v)}")
+
+
 @_register(
     "ballot-preimage-conditions",
     "the image of v is a square ballot word iff the run exponents satisfy "
@@ -406,9 +422,7 @@ def _ballot_preimage_condition(v, k, l):
 )
 def _chk_ballot_preimage(max_n):
     for n in range(max_n + 1):
-        for v in W.permutations_of((1,) * n + (2,) * n):
-            if W.is_ballot(foata(v)) != _ballot_preimage_condition(v, n, n):
-                raise Counterexample(f"v={W.format_word(v)}")
+        _check_ballot_preimages(n, n, "")
 
 
 @_register(
@@ -422,15 +436,7 @@ def _chk_rect_image(max_total):
     for total in range(max_total + 1):
         for l in range(total // 2 + 1):
             k = total - l
-            if k < l:
-                continue
-            img = {foata(v) for v in W.ballot_words(k, l)}
-            rhs = {
-                w
-                for w in W.permutations_of((1,) * k + (2,) * l)
-                if P.all_ranks(P.partition_of_word(w), lambda r: r < 0)
-            }
-            _check_sets(img, rhs, W.format_word, f"k={k},l={l}")
+            _check_image(W.ballot_words(k, l), k, l, _path_ranks_negative, f"k={k},l={l}")
 
 
 @_register(
@@ -444,11 +450,7 @@ def _chk_rect_preimage(max_total):
     for total in range(max_total + 1):
         for l in range(total // 2 + 1):
             k = total - l
-            if k < l:
-                continue
-            for v in W.permutations_of((1,) * k + (2,) * l):
-                if W.is_ballot(foata(v)) != _ballot_preimage_condition(v, k, l):
-                    raise Counterexample(f"k={k}, l={l}, v={W.format_word(v)}")
+            _check_ballot_preimages(k, l, f"k={k}, l={l}, ")
 
 
 @_register(
@@ -564,7 +566,6 @@ def _chk_compositions(max_n_comp, max_n_beta):
             if not W.is_ballot(foata(v)):
                 continue
             om, ta = W.ones_twos_compositions(v)
-            d = len(om) - 1 if W.des(v) else 0
             if not (B.is_ones_composition(om) and B.is_twos_composition(ta)):
                 raise Counterexample(f"composition of v={W.format_word(v)} out of family")
             key = (om, ta)
@@ -676,18 +677,16 @@ def _chk_fib_three_way(max_n):
     full={"max_n": 12},
 )
 def _chk_fib_image(max_n):
+    def image_member(w):
+        n, k = len(w), w.count(1)
+        lam = P.partition_of_word(w)
+        if lam and lam[0] > n - k:
+            return False
+        return k < 2 or (len(lam) == k and lam[k - 1] >= k - 1)
+
     for n in range(max_n + 1):
         for k in range(n + 1):
-            img = {foata(v) for v in W.fibonacci_words(n, ones=k)}
-            rhs = set()
-            for w in W.permutations_of((1,) * k + (2,) * (n - k)):
-                lam = P.partition_of_word(w)
-                if lam and lam[0] > n - k:
-                    continue
-                if k >= 2 and (len(lam) != k or lam[k - 1] < k - 1):
-                    continue
-                rhs.add(w)
-            _check_sets(img, rhs, W.format_word, f"n={n}, k={k}")
+            _check_image(W.fibonacci_words(n, ones=k), k, n - k, image_member, f"n={n}, k={k}")
 
 
 def _no_adjacent(w, letter):
@@ -755,13 +754,7 @@ def _chk_fib_dual(max_n):
 
     for n in range(max_n + 1):
         for k in range(n + 1):
-            img = {foata(v) for v in W.fibonacci_dual_words(n, ones=k)}
-            rhs = {
-                w
-                for w in W.permutations_of((1,) * k + (2,) * (n - k))
-                if image_member(w)
-            }
-            _check_sets(img, rhs, W.format_word, f"n={n}, k={k}")
+            _check_image(W.fibonacci_dual_words(n, ones=k), k, n - k, image_member, f"n={n}, k={k}")
         for v, w in foata_words((1, 2), n):
             if _no_adjacent(w, 2) != run_conditions(v):
                 raise Counterexample(f"run conditions fail at v={W.format_word(v)}")
@@ -819,7 +812,7 @@ def _chk_infinite_images(max_len):
             if in_w21 != (lam is not None):
                 raise Counterexample(f"21-suffix case fails at v={W.format_word(v)}")
             in_b21 = in_w21 and W.is_ballot(v)
-            rhs_b = lam is not None and (P.max_rank(lam) is None or P.max_rank(lam) <= -1)
+            rhs_b = lam is not None and P.all_ranks(lam, lambda r: r < 0)
             if in_b21 != rhs_b:
                 raise Counterexample(f"ballot case fails at v={W.format_word(v)}")
             in_w121 = v == () or v[-3:] == (1, 2, 1)
@@ -859,7 +852,7 @@ def _chk_wslat(max_len):
         (
             "all ranks negative",
             W.ballot_suffix_words((2, 1), max_len),
-            lambda lam: lam == () or P.max_rank(lam) <= -1,
+            lambda lam: P.all_ranks(lam, lambda r: r < 0),
         ),
         ("equal first parts", W.suffix_words((1, 2, 1), max_len), lambda lam: P.delta(lam) == 0),
     ]
@@ -978,19 +971,14 @@ def _chk_csv_example():
     "the rank reduction maps equal-first-parts partitions of each size "
     "bijectively onto the all-ranks-negative ones, using max rank + 1 "
     "steps that each drop the maximum rank",
-    quick={"max_size": 12},
+    quick={"max_size": 12, "count_size": 12},
     full={"max_size": 22, "count_size": 25},
     # count_size only bounds the counting comparison
 )
-def _chk_csv_bijection(max_size, count_size=None):
-    count_size = count_size or max_size
+def _chk_csv_bijection(max_size, count_size):
     for n in range(count_size + 1):
         d0 = sum(1 for p in P.partitions_of(n) if P.delta(p) == 0)
-        rn = sum(
-            1
-            for p in P.partitions_of(n)
-            if P.max_rank(p) is None or P.max_rank(p) <= -1
-        )
+        rn = sum(1 for p in P.partitions_of(n) if P.all_ranks(p, lambda r: r < 0))
         if d0 != rn:
             raise Counterexample(f"counts differ at n={n}: {d0} vs {rn}")
     for n in range(max_size + 1):
@@ -1001,29 +989,21 @@ def _chk_csv_bijection(max_size, count_size=None):
             r0 = P.max_rank(p)
             steps = 0
             q = p
-            while P.max_rank(q) is not None and P.max_rank(q) >= 0:
-                r_before = P.max_rank(q)
-                q = B.csv_step(q)
+            for before, q in itertools.pairwise(B.csv_chain(p)):
                 steps += 1
                 if P.size(q) != n:
                     raise Counterexample(f"size changes at {P.format_partition(p)}")
-                r_after = P.max_rank(q)
+                r_before, r_after = P.max_rank(before), P.max_rank(q)
                 if r_after is not None and r_after > r_before - 1:
                     raise Counterexample(f"rank fails to drop at {P.format_partition(p)}")
                 if r_before > 0 and (r_after is None or r_after != r_before - 1):
                     raise Counterexample(f"rank drop not tight at {P.format_partition(p)}")
             if r0 is not None and r0 >= 0 and steps != r0 + 1:
                 raise Counterexample(f"{P.format_partition(p)} took {steps} steps, rank {r0}")
-            if q != B.csv_map(p):
-                raise Counterexample(f"map disagrees with loop at {P.format_partition(p)}")
             if q in image:
                 raise Counterexample(f"not injective at {P.format_partition(p)}")
             image.add(q)
-        target = {
-            p
-            for p in P.partitions_of(n)
-            if P.max_rank(p) is None or P.max_rank(p) <= -1
-        }
+        target = {p for p in P.partitions_of(n) if P.all_ranks(p, lambda r: r < 0)}
         _check_sets(image, target, P.format_partition, f"n={n}")
 
 

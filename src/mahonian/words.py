@@ -324,8 +324,15 @@ def _no_repeated(banned: int, n: int, ones: int | None) -> Iterator[Word]:
 
     def branches(state):
         left, prev, need = state  # need: ones still to place, or None
+        if need is not None:
+            # prune every node without a leaf below it: at most
+            # (left + 1) // 2 banned letters fit in the letters left, and
+            # left // 2 after a banned letter
+            owed = need if banned == 1 else left - need
+            if not 0 <= need <= left or owed > (left + (prev != banned)) // 2:
+                return ()
         if not left:
-            return None if not need else ()  # a dead end while ones are owed
+            return None
         kids = []
         if (need is None or need > 0) and not (prev == banned == 1):
             kids.append((1, (left - 1, 1, None if need is None else need - 1)))

@@ -6,6 +6,7 @@ from mahonian.bijections import (
     ballot_split,
     ballot_unsplit,
     chains,
+    csv_chain,
     csv_map,
     csv_step,
     csv_trace,
@@ -24,8 +25,10 @@ from mahonian.bijections import (
 from mahonian.foata import foata_inverse
 from mahonian.partitions import (
     boundary_word,
+    conjugate,
     delta,
     max_rank,
+    max_rank_index,
     partitions_of,
     size,
 )
@@ -102,6 +105,50 @@ def test_csv_step_worked_chain():
         assert csv_step(before) == after
         assert size(after) == 30
     assert csv_map(chain[0]) == chain[-1]
+
+
+def _csv_step_by_conjugates(p):
+    """Reference rank-reduction pass: remove a column of height i through
+    the conjugate and conjugate back."""
+    r = max_rank(p)
+    if r is None or r < 0:
+        raise ValueError("rank reduction needs a nonnegative maximum rank")
+    i = max_rank_index(p)
+    cols = list(conjugate(p))
+    if i not in cols:
+        raise ValueError(f"no column of height {i} to remove from {p}")
+    cols.remove(i)
+    parts = list(conjugate(tuple(cols)))
+    if i > 1:
+        parts.append(i - 1)
+        parts.sort(reverse=True)
+    if parts:
+        parts[0] += 1
+    else:
+        parts = [1]
+    return tuple(parts)
+
+
+def _outcome(f, p):
+    try:
+        return f(p)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def test_csv_step_matches_conjugate_oracle():
+    for n in range(19):
+        for p in partitions_of(n):
+            assert _outcome(csv_step, p) == _outcome(_csv_step_by_conjugates, p), p
+
+
+def test_csv_chain_checks_domain_when_called():
+    with pytest.raises(ValueError, match="first two parts must agree"):
+        csv_chain((2, 1))
+    assert list(csv_chain((2, 1, 1))) == [(2, 1, 1)]
+    assert list(csv_chain((1, 1))) == [(1, 1)]
+    assert list(csv_chain(())) == [()]
+    assert list(csv_chain((2, 2))) == [(2, 2), (2, 1, 1)]
 
 
 def test_csv_step_preconditions():

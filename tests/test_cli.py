@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import sys
 
@@ -131,6 +132,25 @@ def test_enumerate_limit(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "suffix", "21", "8", "--limit", "3")
     assert code == 0
     assert len(out.splitlines()) == 3  # first item is the empty word
+    code, out, err = run_cli(capsys, "enumerate", "suffix", "21", "8", "--limit", "-1")
+    assert code == 2
+    assert out == "" and err.startswith("error: ")
+
+
+def test_enumerate_limit_pulls_no_extra_item(capsys, monkeypatch):
+    pulls = []
+
+    def stream():
+        for k in itertools.count():
+            pulls.append(k)
+            yield (1,) * k
+
+    usage, _, fmt = FAMILIES["perms"]
+    monkeypatch.setitem(FAMILIES, "perms", (usage, lambda *params: stream(), fmt))
+    code, out, _ = run_cli(capsys, "enumerate", "perms", "12", "--limit", "2")
+    assert code == 0
+    assert out.splitlines() == ["", "1"]
+    assert pulls == [0, 1]
 
 
 def test_genfun(capsys):
@@ -291,12 +311,23 @@ _DEEP_CASES = [
 ]
 
 
-@pytest.mark.parametrize("family, param, first", _DEEP_CASES, ids=[c[0] for c in _DEEP_CASES])
+# a ones count no word of the family can hold: the walk must not search
+# the whole tree to find that out
+_UNREACHABLE_CASES = [
+    pytest.param("fib", "60 40", None, id="fib-unreachable-ones"),
+    pytest.param("fib-dual", "40 41", None, id="fib-dual-unreachable-ones"),
+]
+
+
+@pytest.mark.parametrize(
+    "family, param, first",
+    [pytest.param(*c, id=c[0]) for c in _DEEP_CASES] + _UNREACHABLE_CASES,
+)
 def test_enumerate_deep_family(capsys, family, param, first):
-    code, out, err = run_cli(capsys, "enumerate", family, param, "--limit", "1")
+    code, out, err = run_cli(capsys, "enumerate", family, *param.split(), "--limit", "1")
     assert code == 0
     assert err == ""
-    assert out.splitlines() == [first]
+    assert out.splitlines() == ([] if first is None else [first])
 
 
 _num = st.integers(min_value=-3, max_value=8).map(str)

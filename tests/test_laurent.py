@@ -118,3 +118,16 @@ def test_truncate_and_queries():
     assert ZERO.degree("q") is None
     assert p.uses_only("q", "t")
     assert not p.uses_only("q")
+
+
+def test_terms_are_read_only():
+    p = ONE + Q
+    key = hash(p)
+    with pytest.raises(TypeError):
+        p.terms[(2, 0, 0, 0)] = 1
+    with pytest.raises(TypeError):
+        del ZERO.terms[(0, 0, 0, 0)]
+    with pytest.raises(AttributeError):
+        p.terms = {}
+    assert p == ONE + Q and hash(p) == key
+    assert dict(p.terms) == {(0, 0, 0, 0): 1, (1, 0, 0, 0): 1}

@@ -1,3 +1,4 @@
+import inspect
 import json
 
 import pytest
@@ -100,4 +101,6 @@ def test_negative_bound_rejected():
 @pytest.mark.parametrize("name", list(CHECKS))
 def test_profile_bounds_are_parameters(name):
     defn = CHECKS[name]
-    assert set(defn.quick) | set(defn.full) <= set(defn.bounds)
+    assert set(defn.quick) == set(defn.full) == set(defn.bounds)
+    params = inspect.signature(defn.fn).parameters.values()
+    assert all(p.default is inspect.Parameter.empty for p in params)
