@@ -44,9 +44,14 @@ def size(p: Sequence[int]) -> int:
 
 
 def conjugate(p: Sequence[int]) -> Partition:
-    if not p:
-        return ()
-    return tuple(sum(1 for part in p if part >= j) for j in range(1, p[0] + 1))
+    """Column lengths, by one walk up the parts: the columns past the
+    (i+1)-th part and up to the i-th one all have height i."""
+    out: list[int] = []
+    prev = 0
+    for i in range(len(p), 0, -1):
+        out += [i] * (p[i - 1] - prev)
+        prev = p[i - 1]
+    return tuple(out)
 
 
 def durfee(p: Sequence[int]) -> int:
@@ -68,9 +73,21 @@ def delta(p: Sequence[int]) -> int:
 
 
 def ranks(p: Sequence[int]) -> tuple[int, ...]:
-    """Successive ranks r_i = (i-th part) - (i-th conjugate part), i <= durfee."""
-    c = conjugate(p)
-    return tuple(p[i] - c[i] for i in range(durfee(p)))
+    """Successive ranks r_i = (i-th part) - (i-th conjugate part), i <= durfee.
+
+    The i-th conjugate part is the number k of parts >= i; k only falls as
+    i grows, so one pointer walks down the parts, stopping at the Durfee
+    square (where p_i >= i keeps k >= i).
+    """
+    out: list[int] = []
+    k = len(p)
+    for i, part in enumerate(p, start=1):
+        if part < i:
+            break
+        while p[k - 1] < i:
+            k -= 1
+        out.append(part - k)
+    return tuple(out)
 
 
 def max_rank(p: Sequence[int]) -> int | None:
@@ -121,7 +138,7 @@ def partition_of_word(w: Sequence[int], ones: int | None = None, twos: int | Non
     that one, so the size of the partition equals inv(w).
     """
     require_binary(w)
-    m = sum(1 for a in w if a == 1)
+    m = w.count(1)
     n = len(w) - m
     if ones is not None and ones != m:
         raise ValueError(f"word has {m} ones, box expects {ones}")
@@ -273,9 +290,15 @@ def first_difference_class(t: int, max_size: int) -> Iterator[Partition]:
     return (p for p in partitions_up_to(max_size) if delta(p) == t)
 
 
-def max_rank_class(n: int, k: int) -> Iterator[Word]:
+def max_rank_class(n: int, k: int | None) -> Iterator[Word]:
     """Rearrangements of 1^n 2^n whose lattice-path partition has maximum
-    successive rank k.  (A word family, not a partition family.)"""
-    for w in permutations_of((1,) * n + (2,) * n):
-        if max_rank(partition_of_word(w)) == k:
-            yield w
+    successive rank k.  (A word family, not a partition family.)
+
+    The partitions fit in the n x n box, so the maximum rank is None (the
+    empty partition) or lies in [1-n, n-1]; any other k is empty at once.
+    """
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
+    if k is not None and not 1 - n <= k <= n - 1:
+        return iter(())
+    return (w for w in permutations_of((1,) * n + (2,) * n) if max_rank(partition_of_word(w)) == k)

@@ -891,13 +891,18 @@ def _chk_suffix_genfun(max_len):
 def _chk_rank_positive(degree):
     product = G.truncated_product(range(2, degree + 1), degree)
     for n in range(degree + 1):
-        a = sum(1 for p in P.partitions_of(n) if P.all_ranks(p, lambda r: r >= 1))
-        b = sum(1 for p in P.partitions_of(n) if 1 not in p)
-        c = product.coefficient(q=n)
+        pos, neg = set(), set()
+        b = 0
+        for p in P.partitions_of(n):
+            rho = P.ranks(p)
+            if all(r >= 1 for r in rho):
+                pos.add(p)
+            if all(r <= -1 for r in rho):
+                neg.add(p)
+            b += (1 not in p)
+        a, c = len(pos), product.coefficient(q=n)
         if not (a == b == c):
             raise Counterexample(f"n={n}: counts {a}, {b}, {c}")
-        pos = {p for p in P.partitions_of(n) if P.all_ranks(p, lambda r: r >= 1)}
-        neg = {p for p in P.partitions_of(n) if P.all_ranks(p, lambda r: r <= -1)}
         if {P.conjugate(p) for p in pos} != neg:
             raise Counterexample(f"conjugation mismatch at n={n}")
 
@@ -911,23 +916,27 @@ def _chk_rank_positive(degree):
     full={"degree": 20, "cases": ((5, 1), (5, 2), (7, 1), (7, 2), (7, 3))},
 )
 def _chk_rank_interval(degree, cases):
-    for modulus, r in cases:
+    # one pass over the partitions of each n reads ranks(p) once and counts
+    # every case; the counts are then compared in case order, n inner, and
+    # the reduction case (ranks in [1, n-1] against no part one) last
+    counts = []  # per n: each case's count, the reduction count, no-part-one
+    for n in range(degree + 1):
+        intervals = [(-r + 2, modulus - r - 2) for modulus, r in cases] + [(1, n - 1)]
+        row = [0] * (len(intervals) + 1)
+        for p in P.partitions_of(n):
+            rho = P.ranks(p)
+            for j, (lo, hi) in enumerate(intervals):
+                row[j] += all(lo <= x <= hi for x in rho)
+            row[-1] += (1 not in p)
+        counts.append(row)
+    for j, (modulus, r) in enumerate(cases):
         product = G.truncated_product(P.parts_off_residues(modulus, r, degree), degree)
         for n in range(degree + 1):
-            a = sum(
-                1
-                for p in P.partitions_of(n)
-                if P.all_ranks(p, lambda x: -r + 2 <= x <= modulus - r - 2)
-            )
-            b = product.coefficient(q=n)
+            a, b = counts[n][j], product.coefficient(q=n)
             if a != b:
                 raise Counterexample(f"M={modulus}, r={r}, n={n}: {a} vs {b}")
     for n in range(degree + 1):
-        a = sum(
-            1 for p in P.partitions_of(n) if P.all_ranks(p, lambda x: 1 <= x <= n - 1)
-        )
-        b = sum(1 for p in P.partitions_of(n) if 1 not in p)
-        if a != b:
+        if counts[n][-2] != counts[n][-1]:
             raise Counterexample(f"reduction case fails at n={n}")
 
 

@@ -13,6 +13,7 @@ leaves of a prefix tree visited by walk, which the composition streams
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from typing import Any
@@ -22,9 +23,9 @@ Word = tuple[int, ...]
 
 def as_word(letters: Iterable[int]) -> Word:
     w = tuple(letters)
-    for a in w:
-        if a < 1:
-            raise ValueError(f"letters must be positive integers, got {a}")
+    if w and min(w) < 1:
+        bad = next(a for a in w if a < 1)
+        raise ValueError(f"letters must be positive integers, got {bad}")
     return w
 
 
@@ -46,9 +47,8 @@ def format_word(w: Sequence[int]) -> str:
 
 
 def require_binary(w: Sequence[int]) -> None:
-    for a in w:
-        if a not in (1, 2):
-            raise ValueError(f"word must use only letters 1 and 2: {format_word(w)}")
+    if w.count(1) + w.count(2) != len(w):
+        raise ValueError(f"word must use only letters 1 and 2: {format_word(w)}")
 
 
 # ---------------------------------------------------------------------------
@@ -61,22 +61,26 @@ def descent_set(w: Sequence[int]) -> frozenset[int]:
 
 
 def des(w: Sequence[int]) -> int:
-    return len(descent_set(w))
+    return sum(map(operator.gt, w, w[1:]))
 
 
 def maj(w: Sequence[int]) -> int:
-    return sum(descent_set(w))
+    return sum(itertools.compress(range(1, len(w)), map(operator.gt, w, w[1:])))
 
 
 def inv(w: Sequence[int]) -> int:
-    """Number of pairs i < j with w_i > w_j."""
-    n = len(w)
+    """Number of pairs i < j with w_i > w_j.
+
+    One pass keeping a count per distinct letter seen so far: each letter
+    adds the counts of the larger ones, so O(len(w) * distinct letters).
+    """
+    seen: dict[int, int] = {}
     total = 0
-    for i in range(n):
-        a = w[i]
-        for j in range(i + 1, n):
-            if a > w[j]:
-                total += 1
+    for a in w:
+        for b in seen:
+            if b > a:
+                total += seen[b]
+        seen[a] = seen.get(a, 0) + 1
     return total
 
 
@@ -374,10 +378,15 @@ def letter_sum_words(total: int) -> Iterator[Word]:
 
 
 def excess_class(n: int, k: int) -> Iterator[Word]:
-    """Rearrangements of 1^n 2^n whose maximum prefix two-excess equals k."""
-    for w in permutations_of((1,) * n + (2,) * n):
-        if excess_profile(w)[1] == k:
-            yield w
+    """Rearrangements of 1^n 2^n whose maximum prefix two-excess equals k.
+
+    The maximum excess lies in [0, n], so any other k is empty at once.
+    """
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
+    if not 0 <= k <= n:
+        return iter(())
+    return (w for w in permutations_of((1,) * n + (2,) * n) if excess_profile(w)[1] == k)
 
 
 def suffix_words(suffix: Sequence[int], max_len: int) -> Iterator[Word]:

@@ -2,6 +2,7 @@ import contextlib
 import io
 import itertools
 import json
+import pathlib
 import sys
 
 import pytest
@@ -293,6 +294,8 @@ def test_domain_errors_are_usage_errors(capsys):
         ["genfun", "product-no-part", "1", "--truncate", "-1"],
         ["genfun", "st-catalan", "-1"],
         ["enumerate", "fib", "-1"],
+        ["enumerate", "excess", "-1", "0"],
+        ["enumerate", "max-rank", "-1", "0"],
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2, argv
@@ -311,11 +314,13 @@ _DEEP_CASES = [
 ]
 
 
-# a ones count no word of the family can hold: the walk must not search
-# the whole tree to find that out
+# a ones count, excess or maximum rank no word of the family can have: the
+# stream must not search every word to find that out
 _UNREACHABLE_CASES = [
     pytest.param("fib", "60 40", None, id="fib-unreachable-ones"),
     pytest.param("fib-dual", "40 41", None, id="fib-dual-unreachable-ones"),
+    pytest.param("excess", "10 11", None, id="excess-unreachable-k"),
+    pytest.param("max-rank", "10 10", None, id="max-rank-unreachable-k"),
 ]
 
 
@@ -375,3 +380,15 @@ def test_exit_code_contract(argv):
     if code == 1:
         assert "verify" in argv
     assert "Traceback" not in err.getvalue()
+
+
+def test_verify_quick_matches_golden(capsys):
+    """Verdicts, params and witnesses of the quick profile, pinned: a change
+    that claims identical output must leave this file valid."""
+    code, out, _ = run_cli(capsys, "--json", "verify", "--all", "--profile", "quick")
+    assert code == 0
+    reports = json.loads(out)
+    for report in reports:
+        del report["millis"]
+    golden = pathlib.Path(__file__).parent / "data" / "verify_quick.json"
+    assert reports == json.loads(golden.read_text())

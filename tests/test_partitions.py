@@ -15,6 +15,7 @@ from mahonian.partitions import (
     first_difference_class,
     format_partition,
     max_rank,
+    max_rank_class,
     max_rank_index,
     no_part_congruent,
     no_part_equal,
@@ -24,6 +25,7 @@ from mahonian.partitions import (
     partitions_by_boundary_length,
     partitions_in_box,
     partitions_of,
+    partitions_up_to,
     rank_at_least,
     rank_at_most,
     rank_negative_in_box,
@@ -37,6 +39,38 @@ partition_lists = st.integers(min_value=0, max_value=9).flatmap(
         lambda xs: tuple(sorted(xs, reverse=True))
     )
 )
+
+
+def _first_parts_up_to(xs, total):
+    """The longest prefix of xs summing to at most total, as a partition."""
+    out = []
+    for x in xs:
+        if sum(out) + x > total:
+            break
+        out.append(x)
+    return tuple(sorted(out, reverse=True))
+
+
+# partitions of size at most 400: many small parts, a few large ones, or both
+large_partitions = st.lists(
+    st.one_of(st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=400)),
+    max_size=400,
+).map(lambda xs: _first_parts_up_to(xs, 400))
+
+
+# reference conjugate and ranks: the definitions read literally, kept as
+# oracles for the pointer walks in the library
+
+
+def _conjugate_by_counting(p):
+    if not p:
+        return ()
+    return tuple(sum(1 for part in p if part >= j) for j in range(1, p[0] + 1))
+
+
+def _ranks_by_conjugate(p):
+    c = _conjugate_by_counting(p)
+    return tuple(p[i] - c[i] for i in range(durfee(p)))
 
 
 def test_parse_format():
@@ -95,6 +129,32 @@ def test_conjugate_involution_and_rank_sign(p):
     assert size(conjugate(p)) == size(p)
     assert durfee(conjugate(p)) == durfee(p)
     assert ranks(conjugate(p)) == tuple(-r for r in ranks(p))
+
+
+def test_conjugate_and_ranks_match_oracles_exhaustively():
+    for p in partitions_up_to(30):
+        assert conjugate(p) == _conjugate_by_counting(p), p
+        assert ranks(p) == _ranks_by_conjugate(p), p
+
+
+@given(large_partitions)
+def test_conjugate_and_ranks_match_oracles_up_to_400(p):
+    assert conjugate(p) == _conjugate_by_counting(p)
+    assert ranks(p) == _ranks_by_conjugate(p)
+    assert conjugate(list(p)) == conjugate(p) and ranks(list(p)) == ranks(p)
+
+
+def test_max_rank_class_matches_brute_force():
+    for n in range(7):
+        words_n = list(permutations_of((1,) * n + (2,) * n))
+        for k in [None, *range(-n - 2, n + 3)]:
+            want = [w for w in words_n if max(_ranks_by_conjugate(partition_of_word(w)), default=None) == k]
+            assert list(max_rank_class(n, k)) == want, (n, k)
+    # an unreachable k is empty at call time, without a scan
+    assert list(max_rank_class(10**5, 10**5)) == []
+    assert list(max_rank_class(10**5, -(10**5))) == []
+    with pytest.raises(ValueError):
+        max_rank_class(-1, 0)
 
 
 def test_rank_conjugation_sets():

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mahonian.words import (
+    as_word,
     ballot_words,
     contains_pattern,
     des,
     descent_set,
     exc,
+    excess_class,
     excess_profile,
     fibonacci_dual_words,
     fibonacci_words,
@@ -23,6 +25,7 @@ from mahonian.words import (
     parse_word,
     pattern_class,
     permutations_of,
+    require_binary,
     reverse_complement,
     run_decomposition,
     suffix_words,
@@ -31,6 +34,33 @@ from mahonian.words import (
 
 words = st.lists(st.integers(min_value=1, max_value=5), max_size=14).map(tuple)
 binary = st.lists(st.sampled_from([1, 2]), max_size=14).map(tuple)
+# long words over {1..k}: a single letter, small alphabets, a wide one, and
+# letters up to 10^9 (nearly all distinct)
+long_words = st.tuples(st.sampled_from([1, 2, 3, 6, 50, 10**9]), st.integers(0, 300)).flatmap(
+    lambda kn: st.lists(st.integers(min_value=1, max_value=kn[0]), min_size=kn[1], max_size=kn[1]).map(tuple)
+)
+
+
+# reference statistics: the definitions read literally, kept as oracles for
+# the one-pass versions in the library
+
+
+def _inv_by_pairs(w):
+    n = len(w)
+    total = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            if w[i] > w[j]:
+                total += 1
+    return total
+
+
+def _maj_by_descent_set(w):
+    return sum(descent_set(w))
+
+
+def _des_by_descent_set(w):
+    return len(descent_set(w))
 
 
 def test_parse_format_roundtrip():
@@ -235,14 +265,55 @@ def test_suffix_words_require_cap():
 def test_statistics_against_quadratic_oracles(w):
     n = len(w)
     maj_oracle = sum(i + 1 for i in range(n - 1) if w[i] > w[i + 1])
-    inv_oracle = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            if w[i] > w[j]:
-                inv_oracle += 1
     assert maj(w) == maj_oracle
-    assert inv(w) == inv_oracle
+    assert inv(w) == _inv_by_pairs(w)
     assert des(w) == sum(1 for i in range(n - 1) if w[i] > w[i + 1])
+
+
+@given(long_words)
+def test_statistics_match_reference_oracles_on_long_words(w):
+    assert inv(w) == _inv_by_pairs(w)
+    assert maj(w) == _maj_by_descent_set(w)
+    assert des(w) == _des_by_descent_set(w)
+    assert (inv(list(w)), maj(list(w)), des(list(w))) == (inv(w), maj(w), des(w))
+
+
+def test_validation_messages():
+    # the whole-word test passes valid words through untouched
+    assert as_word([3, 1, 2]) == (3, 1, 2)
+    assert as_word(()) == ()
+    assert as_word(iter((1, 10**9))) == (1, 10**9)
+    require_binary((1, 2, 2, 1))
+    require_binary([2, 1])
+    require_binary(())
+    # the error path names the first offending letter, not the smallest
+    with pytest.raises(ValueError, match=r"^letters must be positive integers, got 0$"):
+        as_word((3, 0, -1))
+    with pytest.raises(ValueError, match=r"^letters must be positive integers, got -2$"):
+        as_word(iter((1, -2, 0)))
+    with pytest.raises(ValueError, match=r"^word must use only letters 1 and 2: 132$"):
+        require_binary((1, 3, 2))
+    with pytest.raises(ValueError, match=r"^word must use only letters 1 and 2: 1,10$"):
+        require_binary([1, 10])
+    with pytest.raises(ValueError, match=r"^word must use only letters 1 and 2: 20$"):
+        require_binary((2, 0))
+
+
+def _max_excess(w):
+    """Largest excess of twos over ones in a prefix of w (the empty one included)."""
+    return max(itertools.accumulate((1 if a == 2 else -1 for a in w), initial=0))
+
+
+def test_excess_class_matches_brute_force():
+    for n in range(7):
+        words_n = list(permutations_of((1,) * n + (2,) * n))
+        for k in range(-n - 2, n + 3):
+            assert list(excess_class(n, k)) == [w for w in words_n if _max_excess(w) == k], (n, k)
+    # an unreachable k is empty at call time, without a scan
+    assert list(excess_class(10**5, 10**5 + 1)) == []
+    assert list(excess_class(10**5, -1)) == []
+    with pytest.raises(ValueError):
+        excess_class(-1, 0)
 
 
 def test_macmahon_small():
