@@ -149,20 +149,21 @@ def csv_step(p: Sequence[int]) -> Partition:
     maximum rank, remove a column of height i (shorten the first i parts
     by one), add a part of size i-1, and lengthen the first part by one.
     Preserves the size.  Along csv_chain the maximum rank r drops to at
-    most r-1, with equality when r > 0; outside that domain a pass may
-    change nothing (csv_step((2, 1)) == (2, 1))."""
+    most r-1, with equality when r > 0, and i is never 1.  Raises
+    ValueError when the maximum rank is negative, or when i = 1, where the
+    pass would give p back unchanged."""
     p = as_partition(p)
     rho = ranks(p)
     r = max(rho, default=-1)
     if r < 0:
         raise ValueError("rank reduction needs a nonnegative maximum rank")
     i = len(rho) - rho[::-1].index(r)
+    if i == 1:
+        raise ValueError("rank reduction needs the maximum rank last attained at an index above 1")
     # i is the last index of the maximum, so p_i > p_(i+1): the column of
     # height i exists and the shortened parts stay weakly decreasing
-    parts = [a - 1 for a in p[:i]] + list(p[i:])
-    if i > 1:
-        parts.append(i - 1)
-        parts.sort(reverse=True)
+    parts = [a - 1 for a in p[:i]] + list(p[i:]) + [i - 1]
+    parts.sort(reverse=True)
     parts[0] += 1
     return tuple(parts)
 
@@ -220,6 +221,18 @@ def csv_trace(p: Sequence[int]) -> list[dict]:
 # the symmetric-chain map and the induced bijection on words
 
 
+def _flip(w: Word, positions: Sequence[int], letter: int) -> Word:
+    """Rewrite the letters of w at the given 1-based positions as letter.
+
+    Flipping the rightmost unpaired two or the leftmost unpaired one leaves
+    the pairing unchanged (Greene-Kleitman), so every flip along a chain
+    reads its positions off one match_pairs call."""
+    out = list(w)
+    for pos in positions:
+        out[pos - 1] = letter
+    return tuple(out)
+
+
 def flip_rightmost_unpaired_two(w: Sequence[int]) -> Word:
     """Change the rightmost unpaired two into a one; the pairing is
     unchanged."""
@@ -227,8 +240,7 @@ def flip_rightmost_unpaired_two(w: Sequence[int]) -> Word:
     _, _, un2 = match_pairs(w)
     if not un2:
         raise ValueError("no unpaired two")
-    pos = un2[-1]
-    return w[: pos - 1] + (1,) + w[pos:]
+    return _flip(w, un2[-1:], 1)
 
 
 def flip_leftmost_unpaired_one(w: Sequence[int]) -> Word:
@@ -237,25 +249,18 @@ def flip_leftmost_unpaired_one(w: Sequence[int]) -> Word:
     _, un1, _ = match_pairs(w)
     if not un1:
         raise ValueError("no unpaired one")
-    pos = un1[0]
-    return w[: pos - 1] + (2,) + w[pos:]
+    return _flip(w, un1[:1], 2)
 
 
 def chains(n: int) -> list[list[Word]]:
     """Symmetric chain decomposition of all length-n binary words: each
-    chain starts at a word whose unpaired letters are all twos and flips
-    them one at a time."""
+    chain starts at a word whose unpaired letters are all twos, and its
+    stage k has the rightmost k of them flipped into ones."""
     out = []
     for start in itertools.product((1, 2), repeat=n):
-        pairs, un1, un2 = match_pairs(start)
-        if un1:
-            continue
-        chain = [start]
-        w = start
-        for _ in range(len(un2)):
-            w = flip_rightmost_unpaired_two(w)
-            chain.append(w)
-        out.append(chain)
+        _, un1, un2 = match_pairs(start)
+        if not un1:
+            out.append([_flip(start, un2[len(un2) - k :], 1) for k in range(len(un2) + 1)])
     return out
 
 
@@ -271,10 +276,8 @@ def gk_map(v: Sequence[int]) -> Word:
     if v[-3:] != (1, 2, 1):
         raise ValueError("word must end in 121")
     x = v[:-3]
-    t = len(match_pairs(x)[2])
-    for _ in range(t):
-        x = flip_rightmost_unpaired_two(x)
-    return x + (1,) + (2,) * (t + 1) + (1,)
+    _, _, un2 = match_pairs(x)
+    return _flip(x, un2, 1) + (1,) + (2,) * (len(un2) + 1) + (1,)
 
 
 def gk_inverse(w: Sequence[int]) -> Word:
@@ -296,9 +299,9 @@ def gk_inverse(w: Sequence[int]) -> Word:
         raise ValueError("word is not of the form y 1 2^(t+1) 1")
     t = (len(w) - 2 - i) - 1
     y = w[:i]
-    for _ in range(t):
-        y = flip_leftmost_unpaired_one(y)
-    return y + (1, 2, 1)
+    # the ballot prefix y 1 2^(t+1) leaves y at least t unpaired ones
+    _, un1, _ = match_pairs(y)
+    return _flip(y, un1[:t], 2) + (1, 2, 1)
 
 
 def csv_via_words(p: Sequence[int]) -> Partition:

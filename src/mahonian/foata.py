@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 
-from .words import Word, as_word, ones_twos_compositions, require_binary, walk
+from .words import Word, as_word, format_word, ones_twos_compositions, require_binary, walk
 
 Trace = list[tuple[Word, tuple[Word, ...] | None]]
 
@@ -170,7 +170,6 @@ def foata_binary(v: Sequence[int]) -> Word:
     With v = 1^m0 2^n0 ... 1^md 2^nd the image is
     1^(md-1) 2 ... 1^(m1-1) 2 1^m0 2^(n0-1) 1 ... 2^(n(d-1)-1) 1 2^nd.
     """
-    require_binary(v)
     om, ta = ones_twos_compositions(v)
     d = len(om) - 1
     if d == 0:
@@ -187,16 +186,13 @@ def foata_binary(v: Sequence[int]) -> Word:
     return tuple(out)
 
 
-def render_trace(v: Sequence[int], dot: str = "·") -> str:
+def render_trace(v: Sequence[int]) -> str:
     """Stage table with factors separated by dots, one stage per line."""
-    from .words import format_word
-
-    v = as_word(v)
     lines = []
     for i, (stage, factors) in enumerate(foata_trace(v), start=1):
         word_s = format_word(stage)
         if factors is not None:
-            lines.append(f"w{i} = {word_s} = {dot.join(format_word(f) for f in factors)}")
+            lines.append(f"w{i} = {word_s} = {'·'.join(format_word(f) for f in factors)}")
         else:
             lines.append(f"w{i} = {word_s}")
     return "\n".join(lines)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Mapping
 
-from .laurent import ONE, ZERO, Laurent, monomial
+from .laurent import ONE, VARS, ZERO, Laurent, monomial
 from .words import ballot_words, des, fibonacci_words, inv, maj
 
 # ---------------------------------------------------------------------------
@@ -22,8 +22,6 @@ def distribution(items: Iterable, stats: Mapping[str, Callable]) -> Laurent:
     stats maps variable names (q, t, z, s) to statistic callables; the
     item stream must be finite.
     """
-    from .laurent import VARS
-
     cols = [(VARS.index(name), fn) for name, fn in stats.items()]
     acc: dict[tuple[int, ...], int] = {}
     for item in items:
@@ -105,6 +103,8 @@ def catalan_delta_qt(n: int, d: int) -> Laurent:
 
 def fibonacci(n: int) -> int:
     """F_0 = F_1 = 1, F_n = F_{n-1} + F_{n-2}."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     a, b = 1, 1
     for _ in range(n):
         a, b = b, a + b
@@ -114,6 +114,8 @@ def fibonacci(n: int) -> int:
 def fib_poly(n: int) -> Laurent:
     """maj/des polynomial of length-n binary words without adjacent ones,
     by the recursion f_n = f_{n-1} + q^(n-1) t f_{n-2} with f_0 = 1, f_1 = 2."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     a, b = ONE, Laurent.const(2)
     if n == 0:
         return a
@@ -129,6 +131,8 @@ def fib_poly_enumerated(n: int) -> Laurent:
 def fib_poly_closed(n: int) -> Laurent:
     """Closed form: sum over k of
     q^(k(k-1)) t^(k-1) ( [n-k, k-1] + q^k t [n-k, k] )."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     total = ZERO
     k = 0
     while True:

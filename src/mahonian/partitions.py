@@ -121,16 +121,16 @@ def durfee_decomposition(p: Sequence[int]) -> tuple[int, Partition, Partition]:
     return d, right, below
 
 
-def ferrers(p: Sequence[int], dot: str = ".") -> str:
+def ferrers(p: Sequence[int]) -> str:
     """Dot-row rendering of the Ferrers diagram."""
-    return "\n".join(" ".join(dot for _ in range(part)) for part in p)
+    return "\n".join(" ".join("." * part) for part in p)
 
 
 # ---------------------------------------------------------------------------
 # the word <-> partition dictionary
 
 
-def partition_of_word(w: Sequence[int], ones: int | None = None, twos: int | None = None) -> Partition:
+def partition_of_word(w: Sequence[int]) -> Partition:
     """Partition traced inside the (#ones x #twos) box by the lattice path
     of a binary word (1 = north step, 2 = east step).
 
@@ -138,12 +138,6 @@ def partition_of_word(w: Sequence[int], ones: int | None = None, twos: int | Non
     that one, so the size of the partition equals inv(w).
     """
     require_binary(w)
-    m = w.count(1)
-    n = len(w) - m
-    if ones is not None and ones != m:
-        raise ValueError(f"word has {m} ones, box expects {ones}")
-    if twos is not None and twos != n:
-        raise ValueError(f"word has {n} twos, box expects {twos}")
     parts: list[int] = []
     seen2 = 0
     for a in w:
@@ -229,9 +223,9 @@ def partitions_of(n: int, max_part: int | None = None, max_len: int | None = Non
         del p[i + 1 :]
 
 
-def partitions_up_to(max_size: int, **caps) -> Iterator[Partition]:
+def partitions_up_to(max_size: int) -> Iterator[Partition]:
     for n in range(max_size + 1):
-        yield from partitions_of(n, **caps)
+        yield from partitions_of(n)
 
 
 def partitions_in_box(rows: int, cols: int) -> Iterator[Partition]:

@@ -394,12 +394,12 @@ def suffix_words(suffix: Sequence[int], max_len: int) -> Iterator[Word]:
     up to max_len letters (the family is infinite, so the cap is required)."""
     if max_len is None:
         raise ValueError("length cap required for an infinite family")
+    if max_len < 0:
+        raise ValueError(f"length cap must be nonnegative, got {max_len}")
     v = as_word(suffix)
     require_binary(v)
-    yield ()
-    for n in range(len(v), max_len + 1):
-        for u in itertools.product((1, 2), repeat=n - len(v)):
-            yield u + v
+    heads = (u for k in range(max_len - len(v) + 1) for u in itertools.product((1, 2), repeat=k))
+    return itertools.chain([()], (u + v for u in heads))
 
 
 def ballot_suffix_words(suffix: Sequence[int], max_len: int) -> Iterator[Word]:
@@ -407,12 +407,12 @@ def ballot_suffix_words(suffix: Sequence[int], max_len: int) -> Iterator[Word]:
 
 
 def symmetric_group(n: int) -> Iterator[Word]:
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
     return itertools.permutations(range(1, n + 1))
 
 
 def pattern_class(n: int, patterns: Iterable[Sequence[int]]) -> Iterator[Word]:
     """Permutations of 1..n avoiding every listed pattern, lexicographically."""
     pats = [as_word(p) for p in patterns]
-    for perm in itertools.permutations(range(1, n + 1)):
-        if avoids_all(perm, pats):
-            yield perm
+    return (perm for perm in symmetric_group(n) if avoids_all(perm, pats))

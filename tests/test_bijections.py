@@ -1,7 +1,9 @@
 import itertools
 
 import pytest
+from hypothesis import given, strategies as st
 
+from mahonian import bijections
 from mahonian.bijections import (
     ballot_split,
     ballot_unsplit,
@@ -33,11 +35,13 @@ from mahonian.partitions import (
     size,
 )
 from mahonian.words import (
+    as_word,
     ballot_words,
     inv,
     is_ballot,
     match_pairs,
     parse_word,
+    require_binary,
     suffix_words,
 )
 
@@ -137,9 +141,19 @@ def _outcome(f, p):
 
 
 def test_csv_step_matches_conjugate_oracle():
+    # where the maximum rank is last attained at index 1 the oracle gives p
+    # back unchanged, and csv_step refuses it instead
+    refused = 0
     for n in range(19):
         for p in partitions_of(n):
-            assert _outcome(csv_step, p) == _outcome(_csv_step_by_conjugates, p), p
+            want = _outcome(_csv_step_by_conjugates, p)
+            if want == p:
+                refused += 1
+                with pytest.raises(ValueError, match="last attained at an index above 1"):
+                    csv_step(p)
+            else:
+                assert _outcome(csv_step, p) == want, p
+    assert refused > 0
 
 
 def test_csv_chain_checks_domain_when_called():
@@ -156,6 +170,9 @@ def test_csv_step_preconditions():
         csv_step((1, 1))  # all ranks already negative
     with pytest.raises(ValueError):
         csv_step(())
+    for p in ((2, 1), (3, 1), (3, 2)):  # maximum rank last attained at index 1
+        with pytest.raises(ValueError):
+            csv_step(p)
 
 
 def test_csv_map_domain():
@@ -245,3 +262,118 @@ def test_chain_decomposition_small():
                 assert w not in seen
                 seen.add(w)
         assert len(seen) == 2**n
+
+
+# ---------------------------------------------------------------------------
+# flip-by-flip oracles: re-pair the word after every single flip
+
+
+def _flip_two_by_slicing(w):
+    w = as_word(w)
+    _, _, un2 = match_pairs(w)
+    if not un2:
+        raise ValueError("no unpaired two")
+    pos = un2[-1]
+    return w[: pos - 1] + (1,) + w[pos:]
+
+
+def _flip_one_by_slicing(w):
+    w = as_word(w)
+    _, un1, _ = match_pairs(w)
+    if not un1:
+        raise ValueError("no unpaired one")
+    pos = un1[0]
+    return w[: pos - 1] + (2,) + w[pos:]
+
+
+def _chains_flip_by_flip(n):
+    out = []
+    for start in itertools.product((1, 2), repeat=n):
+        _, un1, un2 = match_pairs(start)
+        if un1:
+            continue
+        chain = [start]
+        w = start
+        for _ in range(len(un2)):
+            w = _flip_two_by_slicing(w)
+            chain.append(w)
+        out.append(chain)
+    return out
+
+
+def _gk_map_flip_by_flip(v):
+    v = as_word(v)
+    require_binary(v)
+    if v == ():
+        return ()
+    if v[-3:] != (1, 2, 1):
+        raise ValueError("word must end in 121")
+    x = v[:-3]
+    t = len(match_pairs(x)[2])
+    for _ in range(t):
+        x = _flip_two_by_slicing(x)
+    return x + (1,) + (2,) * (t + 1) + (1,)
+
+
+def _gk_inverse_flip_by_flip(w):
+    w = as_word(w)
+    require_binary(w)
+    if w == ():
+        return ()
+    if not is_ballot(w):
+        raise ValueError("ballot word required")
+    if w[-2:] != (2, 1):
+        raise ValueError("word must end in 21")
+    i = len(w) - 2
+    while i >= 0 and w[i] == 2:
+        i -= 1
+    if i < 0 or w[i] != 1:
+        raise ValueError("word is not of the form y 1 2^(t+1) 1")
+    t = (len(w) - 2 - i) - 1
+    y = w[:i]
+    for _ in range(t):
+        y = _flip_one_by_slicing(y)
+    return y + (1, 2, 1)
+
+
+_CHAIN_MAPS = [
+    (flip_rightmost_unpaired_two, _flip_two_by_slicing),
+    (flip_leftmost_unpaired_one, _flip_one_by_slicing),
+    (gk_map, _gk_map_flip_by_flip),
+    (gk_inverse, _gk_inverse_flip_by_flip),
+]
+
+
+def test_chain_maps_match_flip_by_flip_oracles_exhaustively():
+    domain = [w for n in range(13) for w in itertools.product((1, 2), repeat=n)]
+    domain += [w for n in range(8) for w in itertools.product((1, 2, 3), repeat=n)]
+    for w in domain:
+        for new, old in _CHAIN_MAPS:
+            assert _outcome(new, w) == _outcome(old, w), (new.__name__, w)
+
+
+def test_chains_match_flip_by_flip_oracle():
+    for n in range(11):
+        assert chains(n) == _chains_flip_by_flip(n), n
+
+
+@given(st.lists(st.sampled_from([1, 2]), max_size=1997).map(lambda x: tuple(x) + (1, 2, 1)))
+def test_gk_maps_match_flip_by_flip_oracles_on_long_words(v):
+    w = gk_map(v)
+    assert w == _gk_map_flip_by_flip(v)
+    assert gk_inverse(w) == _gk_inverse_flip_by_flip(w) == v
+
+
+def test_gk_maps_pair_each_word_once(monkeypatch):
+    calls = []
+
+    def counted(w):
+        calls.append(w)
+        return match_pairs(w)
+
+    monkeypatch.setattr(bijections, "match_pairs", counted)
+    v = parse_word("22212121")  # the prefix 22212 has three unpaired twos
+    w = gk_map(v)
+    assert w == parse_word("11112122221") and len(calls) == 1
+    calls.clear()
+    assert gk_inverse(w) == v and len(calls) == 1

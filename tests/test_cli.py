@@ -296,6 +296,11 @@ def test_domain_errors_are_usage_errors(capsys):
         ["enumerate", "fib", "-1"],
         ["enumerate", "excess", "-1", "0"],
         ["enumerate", "max-rank", "-1", "0"],
+        ["genfun", "fib", "-1"],
+        ["enumerate", "sym", "-1"],
+        ["enumerate", "avoid", "-1", "12"],
+        ["enumerate", "suffix", "21", "-1"],
+        ["enumerate", "ballot-suffix", "21", "-1"],
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2, argv

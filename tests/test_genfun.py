@@ -79,6 +79,9 @@ def test_fib_polys():
         assert fib_poly(n) == fib_poly_enumerated(n) == fib_poly_closed(n)
         assert fib_poly(n).substitute({"q": ONE, "t": ONE}) == Laurent.const(fibonacci(n + 1))
     assert [fibonacci(n) for n in range(8)] == [1, 1, 2, 3, 5, 8, 13, 21]
+    for f in (fibonacci, fib_poly, fib_poly_enumerated, fib_poly_closed):
+        with pytest.raises(ValueError):
+            f(-1)
 
 
 def test_lucas_layer():

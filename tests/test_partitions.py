@@ -83,11 +83,14 @@ def test_parse_format():
 
 
 def test_lambda_of_word():
-    assert partition_of_word(parse_word("112211212"), ones=5, twos=4) == (3, 2, 2)
+    w = parse_word("112211212")
+    lam = partition_of_word(w)
+    assert lam == (3, 2, 2)
+    assert len(lam) <= w.count(1) and max(lam) <= w.count(2)  # inside the 5 x 4 box
     assert partition_of_word((1, 1, 1, 2, 2)) == ()
     assert partition_of_word((2, 2, 1, 1, 1)) == (2, 2, 2)
     with pytest.raises(ValueError):
-        partition_of_word(parse_word("1122"), ones=3, twos=1)
+        partition_of_word(parse_word("1123"))
 
 
 def test_boundary_word():

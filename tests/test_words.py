@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from mahonian.words import (
     as_word,
+    ballot_suffix_words,
     ballot_words,
     contains_pattern,
     des,
@@ -29,6 +30,7 @@ from mahonian.words import (
     reverse_complement,
     run_decomposition,
     suffix_words,
+    symmetric_group,
     word_from_compositions,
 )
 
@@ -240,6 +242,18 @@ def test_family_validation_is_eager():
         fibonacci_words(-1)
     with pytest.raises(ValueError):
         fibonacci_dual_words(-2, 1)
+    with pytest.raises(ValueError):
+        symmetric_group(-1)
+    with pytest.raises(ValueError):
+        pattern_class(-1, [(1, 2)])
+    with pytest.raises(ValueError, match="must be nonnegative"):
+        suffix_words((2, 1), -1)
+    with pytest.raises(ValueError, match="must be nonnegative"):
+        ballot_suffix_words((2, 1), -1)
+    with pytest.raises(ValueError, match="^length cap required for an infinite family$"):
+        suffix_words((2, 1), None)
+    with pytest.raises(ValueError, match="^word must use only letters 1 and 2: 13$"):
+        suffix_words((1, 3), 4)
 
 
 def test_families_deeper_than_the_recursion_limit():
