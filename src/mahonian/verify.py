@@ -13,6 +13,22 @@ foata_binary and foata_inverse_binary against the staged construction,
 divide_exact quotients against the Gaussian-binomial side, and the
 enumerated, recursive and closed-form Fibonacci polynomials.  These
 routes are oracles for each other, not duplication; keep them separate.
+
+The genfun families are computed without division or enumeration
+(dense q-products, a ballot-path dynamic program, a Lucas Pascal
+recurrence), so the checks that read them also hold them against the
+slow routes:
+
+- catalan-q1: q_binomial(2n, n) against the factorial quotient
+  [2n]!/[n]!^2, catalan_qt(n) against maj/des over ballot_words(n, n),
+  then the identity itself, algebra against algebra.
+- catalan-square-q: each catalan_nd_q(n, d) against inv over
+  ballot_words(n-d, d), then the square-weighted sum.
+- lucanomial-positive: every lucanomial(n, k) against the quotient
+  {n}!/({k}!{n-k}!) by divide_exact, then positivity and the
+  specializations.
+- rank-catalan-qt reads catalan_qt against partitions in a box, and
+  catalan-four-term reads the dynamic program alone.
 """
 
 from __future__ import annotations
@@ -479,9 +495,15 @@ def _chk_rank_catalan(max_n):
 )
 def _chk_catalan_q1(max_n):
     for n in range(max_n + 1):
-        lhs = G.catalan_qt(n).substitute({"t": ONE})
-        rhs = G.q_binomial(2 * n, n).divide_exact(G.q_int(n + 1))
+        qt = G.catalan_qt(n)
+        qb = G.q_binomial(2 * n, n)
+        lhs = qt.substitute({"t": ONE})
+        rhs = qb.divide_exact(G.q_int(n + 1))
         _check_polys(lhs, rhs, f"n={n}")
+        quotient = G.q_factorial(2 * n).divide_exact(G.q_factorial(n) ** 2)
+        _check_polys(qb, quotient, f"n={n}, [2n]!/[n]!^2")
+        enumerated = G.distribution(W.ballot_words(n, n), {"q": W.maj, "t": W.des})
+        _check_polys(qt, enumerated, f"n={n}, ballot words")
 
 
 @_register(
@@ -495,7 +517,10 @@ def _chk_catalan_square(max_n):
     for n in range(max_n + 1):
         rhs = ZERO
         for d in range(n // 2 + 1):
-            rhs = rhs + monomial(1, q=d * d) * G.catalan_nd_q(n, d) ** 2
+            tri = G.catalan_nd_q(n, d)
+            enumerated = G.distribution(W.ballot_words(n - d, d), {"q": W.inv})
+            _check_polys(tri, enumerated, f"n={n}, d={d}, ballot words")
+            rhs = rhs + monomial(1, q=d * d) * tri**2
         _check_polys(G.catalan_q(n), rhs, f"n={n}")
 
 
@@ -1100,9 +1125,12 @@ def _chk_lucanomial(max_n):
     fib = [0, 1]
     for _ in range(2 * max_n):
         fib.append(fib[-1] + fib[-2])
+    facts = [G.lucas_factorial(n) for n in range(max_n + 1)]
     for n in range(max_n + 1):
         for k in range(n + 1):
             poly = G.lucanomial(n, k)
+            quotient = facts[n].divide_exact(facts[k] * facts[n - k])
+            _check_polys(poly, quotient, f"({n},{k}), {{n}}!/({{k}}!{{n-k}}!)")
             if any(c < 0 for c in poly.terms.values()):
                 raise Counterexample(f"negative coefficient in ({n},{k})")
             ones = poly.substitute({"s": ONE, "t": ONE})

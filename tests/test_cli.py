@@ -293,6 +293,11 @@ def test_domain_errors_are_usage_errors(capsys):
         ["enumerate", "no-part-mod", "0", "1", "5"],
         ["genfun", "product-no-part", "1", "--truncate", "-1"],
         ["genfun", "st-catalan", "-1"],
+        ["genfun", "qint", "-1"],
+        ["genfun", "qfact", "-1"],
+        ["genfun", "catalan-qt", "-1"],
+        ["genfun", "catalan-q", "-1"],
+        ["genfun", "lucanomial", "-1", "1"],
         ["enumerate", "fib", "-1"],
         ["enumerate", "excess", "-1", "0"],
         ["enumerate", "max-rank", "-1", "0"],

@@ -1,5 +1,8 @@
+import math
+
 import pytest
 
+from mahonian import genfun, words
 from mahonian.genfun import (
     carlitz_series,
     catalan_nd_q,
@@ -12,6 +15,7 @@ from mahonian.genfun import (
     fib_poly_enumerated,
     fibonacci,
     lucanomial,
+    lucas_factorial,
     lucas_poly,
     q_binomial,
     q_factorial,
@@ -24,6 +28,42 @@ from mahonian.genfun import (
 from mahonian.laurent import ONE, Q, ZERO, ExactDivisionError, Laurent, monomial, parse_poly
 from mahonian.partitions import no_part_equal, size
 from mahonian.words import ballot_words, des, inv, maj, permutations_of
+
+
+# Oracles independent of the library's dense q-products, ballot-path
+# dynamic program and Lucas recurrence: factorial quotients through
+# divide_exact, and enumerated ballot words.
+
+
+def _q_factorial_oracle(n):
+    out = ONE
+    for i in range(1, n + 1):
+        out = out * q_int(i)
+    return out
+
+
+def _q_binomial_oracle(n, k):
+    if k < 0 or k > n:
+        return ZERO
+    return _q_factorial_oracle(n).divide_exact(_q_factorial_oracle(k) * _q_factorial_oracle(n - k))
+
+
+def _catalan_nd_qt_oracle(n, d):
+    if d < 0 or n - d < d:
+        return ZERO
+    return distribution(ballot_words(n - d, d), {"q": maj, "t": des})
+
+
+def _catalan_nd_q_oracle(n, d):
+    if d < 0 or n - d < d:
+        return ZERO
+    return distribution(ballot_words(n - d, d), {"q": inv})
+
+
+def _lucanomial_oracle(n, k):
+    if k < 0 or k > n:
+        return ZERO
+    return lucas_factorial(n).divide_exact(lucas_factorial(k) * lucas_factorial(n - k))
 
 
 def test_q_basics():
@@ -169,4 +209,50 @@ def test_distribution_order_insensitive():
     random.Random(99).shuffle(shuffled)
     assert distribution(base, {"q": maj, "t": des}) == distribution(
         shuffled, {"q": maj, "t": des}
+    )
+
+
+def test_q_layer_matches_factorial_quotients():
+    for n in range(17):
+        assert q_factorial(n).terms == _q_factorial_oracle(n).terms
+        for k in range(-1, n + 2):
+            assert q_binomial(n, k).terms == _q_binomial_oracle(n, k).terms, (n, k)
+
+
+def test_catalan_triangle_matches_enumeration():
+    for n in range(15):
+        for d in range(-1, n + 2):
+            assert catalan_nd_qt(n, d).terms == _catalan_nd_qt_oracle(n, d).terms, (n, d)
+            assert catalan_nd_q(n, d).terms == _catalan_nd_q_oracle(n, d).terms, (n, d)
+
+
+def test_lucanomials_match_factorial_quotients():
+    for n in range(11):
+        for k in range(-1, n + 2):
+            assert lucanomial(n, k).terms == _lucanomial_oracle(n, k).terms, (n, k)
+
+
+def test_negative_sizes_rejected():
+    for f in (q_int, q_factorial, catalan_qt, catalan_q, lambda n: lucanomial(n, 0)):
+        with pytest.raises(ValueError, match="n must be nonnegative"):
+            f(-1)
+    # k and d outside their range keep the zero convention
+    assert q_binomial(-1, 0) == ZERO
+    assert catalan_nd_qt(-1, 0) == ZERO
+    assert catalan_nd_q(2, 3) == ZERO
+
+
+def test_routes_neither_divide_nor_enumerate(monkeypatch):
+    def slow_route(*args, **kwargs):
+        raise AssertionError("slow route taken")
+
+    monkeypatch.setattr(Laurent, "divide_exact", slow_route)
+    monkeypatch.setattr(words, "ballot_words", slow_route)
+    monkeypatch.setattr(genfun, "distribution", slow_route)
+    one = {"s": ONE, "t": ONE, "q": ONE}
+    assert q_binomial(40, 20).substitute(one) == Laurent.const(math.comb(40, 20))
+    assert catalan_qt(12).substitute(one) == Laurent.const(math.comb(24, 12) // 13)
+    fib = [fibonacci(i - 1) if i else 0 for i in range(13)]  # F_0 = 0, F_1 = 1
+    assert lucanomial(12, 6).substitute(one) == Laurent.const(
+        math.prod(fib[7:13]) // math.prod(fib[1:7])
     )
