@@ -27,7 +27,7 @@ _STATS = {
     "inv": W.inv,
     "des": W.des,
     "exc": W.exc,
-    "excess": lambda w: W.excess_profile(w)[1] if w else 0,
+    "excess": lambda w: W.excess_profile(w)[1],
     "pairs": lambda w: len(W.match_pairs(w)[0]),
 }
 
@@ -61,6 +61,8 @@ _MAPS = {
 
 def _cmd_map(args) -> int:
     name = args.map
+    if args.trace and name not in ("phi", "csv"):
+        raise ValueError("--trace applies only to phi and csv")
     if name in ("csv", "boundary"):
         part = P.parse_partition(args.input)
         if name == "boundary":

@@ -97,14 +97,6 @@ def q_binomial(n: int, k: int) -> Laurent:
     return _q_poly(coeffs)
 
 
-def q_pochhammer(k: int) -> Laurent:
-    """(q)_k = (1-q)(1-q^2)...(1-q^k)."""
-    out = ONE
-    for i in range(1, k + 1):
-        out = out * (ONE - monomial(1, q=i))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Catalan layer
 
@@ -221,15 +213,11 @@ def fib_poly_closed(n: int) -> Laurent:
     if n < 0:
         raise ValueError("n must be nonnegative")
     total = ZERO
-    k = 0
-    while True:
+    # [n-k, k-1] or [n-k, k] is nonzero exactly for k <= (n+1)/2
+    for k in range((n + 1) // 2 + 1):
         b1 = q_binomial(n - k, k - 1)
         b2 = q_binomial(n - k, k)
-        if k > 0 and b1.is_zero() and b2.is_zero():
-            break
-        term = monomial(1, q=k * (k - 1), t=k - 1) * (b1 + monomial(1, q=k, t=1) * b2)
-        total = total + term
-        k += 1
+        total = total + monomial(1, q=k * (k - 1), t=k - 1) * (b1 + monomial(1, q=k, t=1) * b2)
     return total
 
 
@@ -319,34 +307,17 @@ def truncated_product(parts: Iterable[int], degree: int) -> Laurent:
     return _q_poly(coeffs)
 
 
-def series_inverse(p: Laurent, degree: int) -> Laurent:
-    """Multiplicative inverse of a q-only polynomial with constant term
-    +-1, as a series exact through q^degree."""
-    if not p.uses_only("q"):
-        raise ValueError("series inverse requires a polynomial in q alone")
-    top = p.degree("q")
-    if top is None:
-        raise ZeroDivisionError("zero polynomial")
-    a = [p.coefficient(q=j) for j in range(max(top, degree) + 1)]
-    if a and min(e[0] for e in p.terms) < 0:
-        raise ValueError("series inverse requires nonnegative exponents")
-    a0 = a[0]
-    if a0 not in (1, -1):
-        raise ValueError("constant term must be +-1")
-    b = [0] * (degree + 1)
-    b[0] = a0
-    for j in range(1, degree + 1):
-        b[j] = -a0 * sum(a[i] * b[j - i] for i in range(1, j + 1))
-    return _q_poly(b)
-
-
 def carlitz_series(degree: int) -> Laurent:
     """Truncation of sum over k of q^(k^2-k)/(q)_k, the stable limit of
-    the t = 1 Fibonacci-word polynomials."""
-    total = ZERO
+    the t = 1 Fibonacci-word polynomials; 1/(q)_k is the truncated
+    product over the parts 1..k."""
+    coeffs = [0] * (degree + 1)
     k = 0
-    while k * (k - 1) <= degree:
-        inv_poch = series_inverse(q_pochhammer(k), degree)
-        total = total + (monomial(1, q=k * (k - 1)) * inv_poch).truncate("q", degree)
+    # max(degree, 0): a negative degree still reaches truncated_product,
+    # which rejects it
+    while k * (k - 1) <= max(degree, 0):
+        shift = k * (k - 1)
+        for (j, *_), c in truncated_product(range(1, k + 1), degree - shift).terms.items():
+            coeffs[shift + j] += c
         k += 1
-    return total.truncate("q", degree)
+    return _q_poly(coeffs)

@@ -196,13 +196,14 @@ def partitions_of(n: int, max_part: int | None = None, max_len: int | None = Non
     rightmost part that can grow by one, then refill the later parts with
     what they held, less one, spread as evenly as max_len allows, larger
     parts first.  That even fill is the lexicographically least tail, so
-    each partition is the successor of the one before.  A negative max_len
-    caps nothing.
+    each partition is the successor of the one before.
     """
+    if max_len is not None and max_len < 0:
+        raise ValueError(f"max_len must be nonnegative, got {max_len}")
     if n < 0:
         return
     cap = n if max_part is None else min(max_part, n)
-    room = n if max_len is None or max_len < 0 else min(max_len, n)
+    room = n if max_len is None else min(max_len, n)
     if n and (cap < 1 or cap * room < n):
         return
     p: list[int] = []
@@ -224,13 +225,17 @@ def partitions_of(n: int, max_part: int | None = None, max_len: int | None = Non
 
 
 def partitions_up_to(max_size: int) -> Iterator[Partition]:
-    for n in range(max_size + 1):
-        yield from partitions_of(n)
+    if max_size < 0:
+        raise ValueError(f"max_size must be nonnegative, got {max_size}")
+    return itertools.chain.from_iterable(partitions_of(n) for n in range(max_size + 1))
 
 
 def partitions_in_box(rows: int, cols: int) -> Iterator[Partition]:
-    for n in range(rows * cols + 1):
-        yield from partitions_of(n, max_part=cols, max_len=rows)
+    if rows < 0 or cols < 0:
+        raise ValueError(f"box sides must be nonnegative, got {rows} x {cols}")
+    return itertools.chain.from_iterable(
+        partitions_of(n, max_part=cols, max_len=rows) for n in range(rows * cols + 1)
+    )
 
 
 def partitions_by_boundary_length(max_len: int) -> Iterator[Partition]:

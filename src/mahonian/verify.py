@@ -812,7 +812,10 @@ def _chk_letter_sum(max_total):
 )
 def _chk_carlitz(max_coeff):
     series = G.carlitz_series(max_coeff)
-    for n in (2 * max_coeff, 2 * max_coeff + 1):
+    # the coefficient of q^j is stable from n = j + 1 on, so both lengths
+    # must reach max_coeff + 1 (2 * max_coeff does not at bound 0)
+    first = max(2 * max_coeff, max_coeff + 1)
+    for n in (first, first + 1):
         f = G.fib_poly(n).substitute({"t": ONE}).truncate("q", max_coeff)
         _check_polys(f, series, f"n={n}")
 
@@ -855,23 +858,8 @@ def _chk_infinite_images(max_len):
     full={"max_len": 14},
 )
 def _chk_wslat(max_len):
-    def word_side(stream):
-        return G.distribution(
-            stream,
-            {"q": W.maj, "t": W.des, "z": lambda v: W.excess_profile(v)[1] if v else 0},
-        )
-
-    def part_side(pred):
-        acc = ZERO
-        for lam in P.partitions_by_boundary_length(max_len):
-            if not pred(lam):
-                continue
-            if lam == ():
-                acc = acc + ONE
-            else:
-                acc = acc + monomial(1, q=P.size(lam), t=P.durfee(lam), z=P.max_rank(lam) + 1)
-        return acc
-
+    word_stats = {"q": W.maj, "t": W.des, "z": lambda v: W.excess_profile(v)[1]}
+    part_stats = {"q": P.size, "t": P.durfee, "z": lambda lam: P.max_rank(lam) + 1 if lam else 0}
     cases = [
         ("all partitions", W.suffix_words((2, 1), max_len), lambda lam: True),
         (
@@ -882,7 +870,8 @@ def _chk_wslat(max_len):
         ("equal first parts", W.suffix_words((1, 2, 1), max_len), lambda lam: P.delta(lam) == 0),
     ]
     for label, stream, pred in cases:
-        _check_polys(word_side(stream), part_side(pred), label)
+        parts = filter(pred, P.partitions_by_boundary_length(max_len))
+        _check_polys(G.distribution(stream, word_stats), G.distribution(parts, part_stats), label)
 
 
 @_register(
@@ -893,7 +882,9 @@ def _chk_wslat(max_len):
     full={"max_len": 15},
 )
 def _chk_suffix_genfun(max_len):
-    degree = max_len - 1
+    # every nonempty word here ends in 21, so has a descent: only the empty
+    # word has maj 0, and the q^0 coefficient is exact even at max_len 0
+    degree = max(max_len - 1, 0)
     product = G.truncated_product(range(2, degree + 1), degree)
     b21 = G.distribution(W.ballot_suffix_words((2, 1), max_len), {"q": W.maj}).truncate(
         "q", degree

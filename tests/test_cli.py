@@ -26,9 +26,9 @@ def test_stat(capsys):
 
 
 def test_stat_empty_word(capsys):
-    code, out, _ = run_cli(capsys, "stat", "", "--maj")
+    code, out, _ = run_cli(capsys, "stat", "", "--maj", "--excess")
     assert code == 0
-    assert out.strip() == "maj=0"
+    assert out.strip() == "maj=0 excess=0"
 
 
 def test_stat_json(capsys):
@@ -306,6 +306,18 @@ def test_domain_errors_are_usage_errors(capsys):
         ["enumerate", "avoid", "-1", "12"],
         ["enumerate", "suffix", "21", "-1"],
         ["enumerate", "ballot-suffix", "21", "-1"],
+        ["enumerate", "box", "-1", "-1"],
+        ["enumerate", "box", "2", "-1"],
+        ["enumerate", "rank-negative", "-1", "-1"],
+        ["enumerate", "partitions-upto", "-1"],
+        ["enumerate", "rank-at-least", "1", "-1"],
+        ["enumerate", "rank-at-most", "0", "-1"],
+        ["enumerate", "rank-interval", "0", "1", "-1"],
+        ["enumerate", "no-part", "1", "-1"],
+        ["enumerate", "no-part-mod", "5", "1", "-1"],
+        ["enumerate", "first-difference", "0", "-1"],
+        ["map", "gk", "121", "--trace"],
+        ["map", "boundary", "(2,1)", "--trace"],
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2, argv

@@ -20,8 +20,6 @@ from mahonian.genfun import (
     q_binomial,
     q_factorial,
     q_int,
-    q_pochhammer,
-    series_inverse,
     st_catalan,
     truncated_product,
 )
@@ -162,20 +160,16 @@ def test_truncated_product():
         truncated_product([0, 2], 5)
 
 
-def test_series_inverse():
-    p = ONE - Q
-    inv_p = series_inverse(p, 8)
-    assert (p * inv_p).truncate("q", 8) == ONE
-    assert series_inverse(q_pochhammer(2), 6) * q_pochhammer(2) != ONE  # truncated only
-    assert (series_inverse(q_pochhammer(2), 6) * q_pochhammer(2)).truncate("q", 6) == ONE
-    with pytest.raises(ValueError):
-        series_inverse(2 * ONE, 4)
-
-
 def test_carlitz_series_matches_large_n():
     cs = carlitz_series(8)
     f = fib_poly(16).substitute({"t": ONE}).truncate("q", 8)
     assert cs == f
+    # the coefficient of q^j is stable from length j + 1 on
+    for d in range(21):
+        f = fib_poly(d + 1).substitute({"t": ONE}).truncate("q", d)
+        assert carlitz_series(d) == f
+    with pytest.raises(ValueError, match="^truncation degree must be nonnegative, got -1$"):
+        carlitz_series(-1)
 
 
 def test_division_guard():

@@ -104,3 +104,17 @@ def test_profile_bounds_are_parameters(name):
     assert set(defn.quick) == set(defn.full) == set(defn.bounds)
     params = inspect.signature(defn.fn).parameters.values()
     assert all(p.default is inspect.Parameter.empty for p in params)
+
+
+@pytest.mark.parametrize("name", list(CHECKS))
+def test_every_legal_bound_gives_a_verdict(name):
+    """Each integer bound at 0..3 with the others at quick, and all of them
+    at 0 together, is a legal run: it must pass, not report a false witness
+    or an error."""
+    ints = [k for k, v in CHECKS[name].quick.items() if isinstance(v, int)]
+    for key in ints:
+        for value in range(4):
+            report = run_check(name, bounds={key: value}, profile="quick")
+            assert report.verdict == "pass", f"{key}={value}: {report.witness}"
+    report = run_check(name, bounds=dict.fromkeys(ints, 0), profile="quick")
+    assert report.verdict == "pass", report.witness

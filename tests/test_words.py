@@ -4,6 +4,7 @@ import sys
 import pytest
 from hypothesis import given, strategies as st
 
+from mahonian.partitions import partitions_in_box, partitions_of, partitions_up_to, rank_at_least
 from mahonian.words import (
     as_word,
     ballot_suffix_words,
@@ -254,6 +255,16 @@ def test_family_validation_is_eager():
         suffix_words((2, 1), None)
     with pytest.raises(ValueError, match="^word must use only letters 1 and 2: 13$"):
         suffix_words((1, 3), 4)
+    with pytest.raises(ValueError, match="^max_size must be nonnegative, got -1$"):
+        partitions_up_to(-1)
+    with pytest.raises(ValueError, match="^box sides must be nonnegative, got -1 x 2$"):
+        partitions_in_box(-1, 2)
+    with pytest.raises(ValueError, match="^box sides must be nonnegative, got 2 x -1$"):
+        partitions_in_box(2, -1)
+    with pytest.raises(ValueError):
+        rank_at_least(1, -1)
+    with pytest.raises(ValueError, match="^max_len must be nonnegative, got -1$"):
+        next(partitions_of(0, max_len=-1))
 
 
 def test_families_deeper_than_the_recursion_limit():
