@@ -1,15 +1,20 @@
 """Command line front end.
 
-Subcommands: stat, map, trace, enumerate, genfun, verify.  Every command
-accepts --json for machine-readable output carrying the same data as the
-text form.  Exit codes: 0 success, 1 verification failure, 2 usage error.
-All computation is deterministic; --seed is accepted and ignored for
-harness compatibility.
+Subcommands: stat, map, trace (map with --trace), enumerate, genfun,
+verify.  Every command accepts --json for machine-readable output carrying
+the same data as the text form.  Exit codes: 0 success, 1 verification
+failure, 2 usage error.  A usage error prints argparse's usage message or
+exactly one "error: " line: commands raise ValueError, KeyError or
+TypeError and main alone reports it.  The parameters an enumerate or
+genfun family takes are those of its callable's signature.  All
+computation is deterministic; --seed is accepted and ignored for harness
+compatibility.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import itertools
 import json
 import sys
@@ -19,8 +24,8 @@ from .foata import foata, foata_inverse, foata_trace, render_trace
 from . import genfun as G
 from . import partitions as P
 from . import words as W
-from .families import FAMILIES, enumerate_family
-from .verify import CHECKS, run_check
+from .families import FAMILIES
+from .verify import CHECKS, PROFILES, run_check
 
 _STATS = {
     "maj": W.maj,
@@ -51,18 +56,20 @@ def _cmd_stat(args) -> int:
 
 
 _MAPS = {
-    "phi": lambda w: foata(w),
-    "phi-inv": lambda w: foata_inverse(w),
-    "prime": lambda w: W.reverse_complement(w),
-    "gk": lambda w: B.gk_map(w),
-    "gk-inv": lambda w: B.gk_inverse(w),
+    "phi": foata,
+    "phi-inv": foata_inverse,
+    "prime": W.reverse_complement,
+    "gk": B.gk_map,
+    "gk-inv": B.gk_inverse,
 }
+# the maps that show their stages under --trace
+_TRACED = ("phi", "csv")
 
 
 def _cmd_map(args) -> int:
     name = args.map
-    if args.trace and name not in ("phi", "csv"):
-        raise ValueError("--trace applies only to phi and csv")
+    if args.trace and name not in _TRACED:
+        raise ValueError(f"--trace applies only to {' and '.join(_TRACED)}")
     if name in ("csv", "boundary"):
         part = P.parse_partition(args.input)
         if name == "boundary":
@@ -139,16 +146,24 @@ def _render_csv_trace(stages) -> str:
     return "\n\n".join(blocks)
 
 
-def _cmd_trace(args) -> int:
-    args.trace = True
-    return _cmd_map(args)
+def _call(fn, params: list, args, usage: str):
+    """fn(*params), its keyword-only parameters read from the options of
+    the same name in args.  A parameter count that fn's signature does not
+    take is a usage error showing usage."""
+    sig = inspect.signature(fn)
+    options = {k: getattr(args, k) for k, p in sig.parameters.items() if p.kind is p.KEYWORD_ONLY}
+    try:
+        sig.bind(*params, **options)
+    except TypeError:
+        raise ValueError(f"wrong number of parameters; usage: {usage}") from None
+    return fn(*params, **options)
 
 
 def _cmd_enumerate(args) -> int:
     if args.limit is not None and args.limit < 0:
         raise ValueError(f"limit must be nonnegative, got {args.limit}")
-    items = list(itertools.islice(enumerate_family(args.family, *args.params), args.limit))
-    fmt = FAMILIES[args.family][2]
+    usage, stream, fmt = FAMILIES[args.family]
+    items = list(itertools.islice(_call(stream, args.params, args, usage), args.limit))
     if args.json:
         print(json.dumps({"family": args.family, "items": [fmt(x) for x in items], "count": len(items)}))
     else:
@@ -157,36 +172,29 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
+# the products' keyword-only truncate is read from the --truncate option
 _GENFUN = {
-    "qint": (1, lambda n: G.q_int(n)),
-    "qfact": (1, lambda n: G.q_factorial(n)),
-    "qbinom": (2, lambda n, k: G.q_binomial(n, k)),
-    "catalan-qt": (1, lambda n: G.catalan_qt(n)),
-    "catalan-q": (1, lambda n: G.catalan_q(n)),
-    "triangle-qt": (2, lambda n, d: G.catalan_nd_qt(n, d)),
-    "triangle-q": (2, lambda n, d: G.catalan_nd_q(n, d)),
-    "fib": (1, lambda n: G.fib_poly(n)),
-    "lucas": (1, lambda n: G.lucas_poly(n)),
-    "lucanomial": (2, lambda n, k: G.lucanomial(n, k)),
-    "st-catalan": (1, lambda n: G.st_catalan(n)),
+    "qint": G.q_int,
+    "qfact": G.q_factorial,
+    "qbinom": G.q_binomial,
+    "catalan-qt": G.catalan_qt,
+    "catalan-q": G.catalan_q,
+    "triangle-qt": G.catalan_nd_qt,
+    "triangle-q": G.catalan_nd_q,
+    "fib": G.fib_poly,
+    "lucas": G.lucas_poly,
+    "lucanomial": G.lucanomial,
+    "st-catalan": G.st_catalan,
+    "product-no-part": lambda t, *, truncate: G.truncated_product([i for i in range(1, truncate + 1) if i != t], truncate),
+    "product-mod": lambda modulus, r, *, truncate: G.truncated_product(P.parts_off_residues(modulus, r, truncate), truncate),
 }
 
 
 def _cmd_genfun(args) -> int:
     name = args.family
-    if name == "product-no-part":
-        (t,) = (int(x) for x in args.params)
-        poly = G.truncated_product([i for i in range(1, args.truncate + 1) if i != t], args.truncate)
-    elif name == "product-mod":
-        modulus, r = (int(x) for x in args.params)
-        poly = G.truncated_product(P.parts_off_residues(modulus, r, args.truncate), args.truncate)
-    elif name in _GENFUN:
-        arity, fn = _GENFUN[name]
-        if len(args.params) != arity:
-            raise ValueError(f"{name} takes {arity} parameter(s)")
-        poly = fn(*(int(x) for x in args.params))
-    else:
-        raise KeyError(name)
+    fn = _GENFUN[name]
+    usage = [name] + [k.upper() for k, p in inspect.signature(fn).parameters.items() if p.kind is not p.KEYWORD_ONLY]
+    poly = _call(fn, [int(x) for x in args.params], args, " ".join(usage))
     if args.json:
         print(json.dumps({"family": name, "poly": str(poly), "terms": poly.to_json()}))
     else:
@@ -202,22 +210,18 @@ def _int_bounds() -> list[str]:
 
 
 def _cmd_verify(args) -> int:
-    if args.all or not args.checks:
-        names = list(CHECKS)
-    else:
-        names = args.checks
-        unknown = [n for n in names if n not in CHECKS]
-        if unknown:
-            print(f"unknown check: {', '.join(unknown)}", file=sys.stderr)
-            print("available checks:", file=sys.stderr)
-            for name, defn in CHECKS.items():
-                print(f"  {name}: {defn.doc}", file=sys.stderr)
-            return 2
+    if args.list:
+        for name, defn in CHECKS.items():
+            print(f"{name}: {defn.doc}")
+        return 0
+    names = list(CHECKS) if args.all or not args.checks else args.checks
+    unknown = [n for n in names if n not in CHECKS]
+    if unknown:
+        raise ValueError(f"unknown check: {', '.join(unknown)} (available checks: {', '.join(CHECKS)})")
     overrides = {k: getattr(args, k) for k in _int_bounds() if getattr(args, k) is not None}
     for flag in overrides:
         if not any(flag in CHECKS[n].bounds for n in names):
-            print(f"bound --{flag.replace('_', '-')} applies to none of the selected checks", file=sys.stderr)
-            return 2
+            raise ValueError(f"bound --{flag.replace('_', '-')} applies to none of the selected checks: {', '.join(names)}")
     reports = [
         run_check(
             name,
@@ -257,9 +261,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_map)
 
     p = sub.add_parser("trace", help="apply a bijection, showing every stage")
-    p.add_argument("map", choices=("phi", "csv"))
+    p.add_argument("map", choices=_TRACED)
     p.add_argument("input")
-    p.set_defaults(fn=_cmd_trace)
+    p.set_defaults(fn=_cmd_map, trace=True)
 
     p = sub.add_parser("enumerate", help="stream a word or partition family")
     p.add_argument("family", choices=sorted(FAMILIES))
@@ -268,7 +272,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_enumerate)
 
     p = sub.add_parser("genfun", help="print a named polynomial")
-    p.add_argument("family")
+    p.add_argument("family", choices=sorted(_GENFUN))
     p.add_argument("params", nargs="*")
     p.add_argument("--truncate", type=int, default=20, help="series truncation degree")
     p.set_defaults(fn=_cmd_genfun)
@@ -276,7 +280,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run registered identity checks")
     p.add_argument("checks", nargs="*")
     p.add_argument("--all", action="store_true")
-    p.add_argument("--profile", choices=("quick", "full"), default="quick")
+    p.add_argument("--profile", choices=PROFILES, default="quick")
     p.add_argument("--list", action="store_true", help="list available checks")
     for flag in _int_bounds():
         p.add_argument(f"--{flag.replace('_', '-')}", type=int, default=None, dest=flag)
@@ -291,10 +295,6 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    if getattr(args, "list", False):
-        for name, defn in CHECKS.items():
-            print(f"{name}: {defn.doc}")
-        return 0
     try:
         return args.fn(args)
     except (ValueError, KeyError, TypeError) as exc:

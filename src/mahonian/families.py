@@ -3,7 +3,9 @@ used by the command line and by table-driven tests.
 
 Each entry is (usage, stream, format): stream maps positional string
 parameters to a finite stream, and format renders one of its items.
-Infinite families take an explicit cap as their last parameter.
+stream's signature is the one statement of how many parameters a family
+takes; usage is shown when a call does not fit it.  Infinite families
+take an explicit cap as their last parameter.
 """
 
 from __future__ import annotations
@@ -18,12 +20,8 @@ def _perms(word: str) -> Iterator:
     return W.permutations_of(W.parse_word(word))
 
 
-def _ballot(*args: str) -> Iterator:
-    if len(args) == 1:
-        n = int(args[0])
-        return W.ballot_words(n, n)
-    ones, twos = (int(a) for a in args)
-    return W.ballot_words(ones, twos)
+def _ballot(ones: str, twos: str | None = None) -> Iterator:
+    return W.ballot_words(int(ones), int(ones if twos is None else twos))
 
 
 def _fib(n: str, k: str | None = None) -> Iterator:

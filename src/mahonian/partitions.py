@@ -170,12 +170,10 @@ def boundary_word(p: Sequence[int]) -> Word:
 def partition_of_boundary(w: Sequence[int]) -> Partition:
     """Inverse of boundary_word (the tight-box lattice path reading)."""
     w = tuple(w)
-    if not w:
-        return ()
-    require_binary(w)
-    if w[0] != 2 or w[-1] != 1:
+    p = partition_of_word(w)
+    if w and (w[0] != 2 or w[-1] != 1):
         raise ValueError(f"not a boundary word (must start 2 and end 1): {w}")
-    return partition_of_word(w)
+    return p
 
 
 def is_boundary_word(w: Sequence[int]) -> bool:
@@ -198,6 +196,8 @@ def partitions_of(n: int, max_part: int | None = None, max_len: int | None = Non
     parts first.  That even fill is the lexicographically least tail, so
     each partition is the successor of the one before.
     """
+    if max_part is not None and max_part < 0:
+        raise ValueError(f"max_part must be nonnegative, got {max_part}")
     if max_len is not None and max_len < 0:
         raise ValueError(f"max_len must be nonnegative, got {max_len}")
     if n < 0:
@@ -242,10 +242,10 @@ def partitions_by_boundary_length(max_len: int) -> Iterator[Partition]:
     """All partitions whose boundary word has at most max_len letters,
     i.e. part count plus largest part <= max_len.  Starts with the empty
     partition; deterministic order."""
-    yield ()
-    for n in range(2, max_len + 1):
-        for mid in itertools.product((1, 2), repeat=n - 2):
-            yield partition_of_word((2,) + mid + (1,))
+    if max_len < 0:
+        raise ValueError(f"max_len must be nonnegative, got {max_len}")
+    words = ((2,) + mid + (1,) for n in range(2, max_len + 1) for mid in itertools.product((1, 2), repeat=n - 2))
+    return itertools.chain([()], map(partition_of_word, words))
 
 
 def rank_negative_in_box(rows: int, cols: int) -> Iterator[Partition]:

@@ -1215,14 +1215,23 @@ def _chk_transport(max_len, samples):
 # runners
 
 
+PROFILES = ("quick", "full")
+
+
+def _require_profile(profile: str) -> None:
+    if profile not in PROFILES:
+        raise ValueError(f"profile must be {' or '.join(PROFILES)}, got {profile!r}")
+
+
 def run_check(name: str, bounds: dict | None = None, profile: str = "quick") -> PairReport:
     """Run one registered check at the profile's bounds, overridden by bounds.
 
-    An unknown check or bound name raises KeyError and a negative integer
-    bound raises ValueError.  A Counterexample from the check gives verdict
-    "fail"; any other exception gives verdict "error", with the exception
-    type and message as the witness.
+    An unknown check or bound name raises KeyError; an unknown profile and
+    a negative integer bound raise ValueError.  A Counterexample from the
+    check gives verdict "fail"; any other exception gives verdict "error",
+    with the exception type and message as the witness.
     """
+    _require_profile(profile)
     defn = CHECKS[name]
     for key, value in (bounds or {}).items():
         if key not in defn.bounds:
@@ -1252,4 +1261,5 @@ def run_check(name: str, bounds: dict | None = None, profile: str = "quick") -> 
 def run_suite(profile: str = "quick", names: list[str] | None = None) -> list[PairReport]:
     """Run the selected checks (all by default) at the profile's bounds,
     reporting in the order given (registry order by default)."""
+    _require_profile(profile)
     return [run_check(name, profile=profile) for name in (CHECKS if names is None else names)]

@@ -3,6 +3,7 @@ import io
 import itertools
 import json
 import pathlib
+import shlex
 import sys
 
 import pytest
@@ -287,6 +288,19 @@ def test_module_entry_point():
     assert proc.stdout.strip() == "maj=9"
 
 
+_WRONG_CALLS = [
+    ["verify", "no-such-check"],
+    ["verify", "macmahon", "--degree", "3"],
+    ["enumerate", "box", "3"],
+    ["enumerate", "fib", "1", "2", "3"],
+    ["enumerate", "ballot", "1", "2", "3"],
+    ["enumerate", "perms"],
+    ["genfun", "product-mod", "5"],
+    ["genfun", "product-no-part"],
+    ["genfun", "qbinom", "4"],
+]
+
+
 def test_domain_errors_are_usage_errors(capsys):
     for argv in (
         ["genfun", "product-mod", "0", "1"],
@@ -318,11 +332,58 @@ def test_domain_errors_are_usage_errors(capsys):
         ["enumerate", "first-difference", "0", "-1"],
         ["map", "gk", "121", "--trace"],
         ["map", "boundary", "(2,1)", "--trace"],
+        *_WRONG_CALLS,
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2, argv
         assert out == ""
         assert err.startswith("error: ")
+    # an unknown name, an inapplicable bound or a wrong parameter count is
+    # reported by name, not by the Python internals it trips over
+    for argv in _WRONG_CALLS:
+        code, out, err = run_cli(capsys, *argv)
+        assert argv[1] in err, argv
+        assert err.count("\n") == 1, argv
+        for leak in ("positional argument", "unpack", "<lambda>"):
+            assert leak not in err, argv
+
+
+def _readme_commands():
+    """The command lines of README's "Command line" block, each with its
+    trailing comment ("" when it has none)."""
+    readme = pathlib.Path(__file__).parent.parent / "README.md"
+    block = readme.read_text().split("## Command line", 1)[1].split("```")[1]
+    commands = []
+    for line in block.strip().splitlines():
+        command, _, comment = line.partition("#")
+        argv = shlex.split(command)
+        assert argv[0] == "mahonian", line
+        commands.append((argv[1:], comment.strip()))
+    return commands
+
+
+# README comments that describe the output rather than spell it out
+_README_PROSE = {
+    "",
+    "dotted stage table",
+    "rank-reduction stages",
+    "the five ballot words",
+    "every check, small bounds",
+    "check catalog",
+}
+
+
+def test_readme_command_lines(capsys):
+    commands = _readme_commands()
+    assert len(commands) >= 12
+    outputs = []
+    for argv, comment in commands:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, (argv, err)
+        if comment not in _README_PROSE:
+            assert out == comment + "\n", argv
+            outputs.append(comment)
+    assert {"maj=9 inv=7 des=3", "2213112", "(3,2,2)", "1 + q^2*t", "s^4 + 3*s^2*t + 2*t^2"} <= set(outputs)
 
 
 _DEEP = sys.getrecursionlimit() + 50
@@ -402,6 +463,11 @@ def test_exit_code_contract(argv):
     if code == 1:
         assert "verify" in argv
     assert "Traceback" not in err.getvalue()
+    if code == 2:
+        # argparse's own message, or one line from main's handler
+        assert out.getvalue() == ""
+        message = err.getvalue()
+        assert message.startswith("usage: ") or (message.startswith("error: ") and message.count("\n") == 1), message
 
 
 def test_verify_quick_matches_golden(capsys):

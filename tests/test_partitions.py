@@ -98,8 +98,10 @@ def test_boundary_word():
     assert boundary_word((1,)) == (2, 1)
     assert boundary_word(()) == ()
     assert partition_of_boundary(()) == ()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^not a boundary word \(must start 2 and end 1\): \(1, 2\)$"):
         partition_of_boundary((1, 2))
+    with pytest.raises(ValueError, match=r"^word must use only letters 1 and 2: 31$"):
+        partition_of_boundary((3, 1))
 
 
 def test_boundary_roundtrip_box():

@@ -34,6 +34,21 @@ def test_unknown_bound():
         run_check("csv-gk-conjugacy", bounds={"bogus": 3})
 
 
+def test_unknown_profile(monkeypatch):
+    runs = []
+    fake = CheckDef("synthetic-probe", "test-only recording check", lambda: runs.append(1), {}, {})
+    monkeypatch.setitem(CHECKS, "synthetic-probe", fake)
+    with pytest.raises(ValueError, match="^profile must be quick or full, got 'fulll'$"):
+        run_check("synthetic-probe", profile="fulll")
+    with pytest.raises(ValueError, match="^profile must be quick or full, got 'Quick'$"):
+        run_suite("Quick", names=[])
+    with pytest.raises(ValueError, match="^profile must be quick or full, got 'Quick'$"):
+        run_suite("Quick", names=["synthetic-probe"])
+    assert runs == []
+    with pytest.raises(ValueError, match="^profile must be quick or full, got 'fulll'$"):
+        run_check("macmahon", profile="fulll")
+
+
 def test_bound_override():
     report = run_check("csv-gk-conjugacy", bounds={"max_size": 8})
     assert report.passed

@@ -4,7 +4,13 @@ import sys
 import pytest
 from hypothesis import given, strategies as st
 
-from mahonian.partitions import partitions_in_box, partitions_of, partitions_up_to, rank_at_least
+from mahonian.partitions import (
+    partitions_by_boundary_length,
+    partitions_in_box,
+    partitions_of,
+    partitions_up_to,
+    rank_at_least,
+)
 from mahonian.words import (
     as_word,
     ballot_suffix_words,
@@ -265,6 +271,10 @@ def test_family_validation_is_eager():
         rank_at_least(1, -1)
     with pytest.raises(ValueError, match="^max_len must be nonnegative, got -1$"):
         next(partitions_of(0, max_len=-1))
+    with pytest.raises(ValueError, match="^max_part must be nonnegative, got -1$"):
+        next(partitions_of(0, max_part=-1))
+    with pytest.raises(ValueError, match="^max_len must be nonnegative, got -1$"):
+        partitions_by_boundary_length(-1)
 
 
 def test_families_deeper_than_the_recursion_limit():
