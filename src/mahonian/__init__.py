@@ -15,7 +15,6 @@ from .bijections import (
     csv_step,
     csv_trace,
     csv_via_words,
-    flip_leftmost_unpaired_one,
     flip_rightmost_unpaired_two,
     gk_inverse,
     gk_map,
@@ -50,13 +49,12 @@ from .genfun import (
     st_catalan,
     truncated_product,
 )
-from .laurent import ONE, Q, S, T, VARS, Z, ZERO, Laurent, monomial, parse_poly
+from .laurent import ONE, Q, S, T, VARS, Z, ZERO, Laurent, monomial
 from .partitions import (
     boundary_word,
     conjugate,
     delta,
     durfee,
-    durfee_decomposition,
     ferrers,
     format_partition,
     max_rank,

@@ -15,8 +15,6 @@ from .partitions import (
     as_partition,
     boundary_word,
     delta,
-    max_rank,
-    max_rank_index,
     partition_of_boundary,
     ranks,
 )
@@ -144,6 +142,15 @@ def twos_composition_word(comp: Sequence[int]) -> Word:
 # rank reduction on partitions (one pass, the chain of passes, and the map)
 
 
+def _max_rank_last(rho: Sequence[int]) -> tuple[int | None, int | None]:
+    """(maximum rank, largest 1-based index attaining it) of a rank
+    vector; (None, None) when it is empty."""
+    if not rho:
+        return None, None
+    r = max(rho)
+    return r, len(rho) - rho[::-1].index(r)
+
+
 def csv_step(p: Sequence[int]) -> Partition:
     """One rank-reduction pass: with i the largest index attaining the
     maximum rank, remove a column of height i (shorten the first i parts
@@ -153,11 +160,9 @@ def csv_step(p: Sequence[int]) -> Partition:
     ValueError when the maximum rank is negative, or when i = 1, where the
     pass would give p back unchanged."""
     p = as_partition(p)
-    rho = ranks(p)
-    r = max(rho, default=-1)
-    if r < 0:
+    r, i = _max_rank_last(ranks(p))
+    if r is None or r < 0:
         raise ValueError("rank reduction needs a nonnegative maximum rank")
-    i = len(rho) - rho[::-1].index(r)
     if i == 1:
         raise ValueError("rank reduction needs the maximum rank last attained at an index above 1")
     # i is the last index of the maximum, so p_i > p_(i+1): the column of
@@ -201,14 +206,16 @@ def csv_trace(p: Sequence[int]) -> list[dict]:
     fundamental bijection, and the preimage's excess vector."""
     stages = []
     for q in csv_chain(p):
+        rho = ranks(q)
+        r, i = _max_rank_last(rho)
         w = boundary_word(q)
         v = foata_inverse(w)
         stages.append(
             {
                 "partition": q,
-                "rho": ranks(q),
-                "r": max_rank(q),
-                "i": max_rank_index(q),
+                "rho": rho,
+                "r": r,
+                "i": i,
                 "word": w,
                 "preimage": v,
                 "excesses": excess_profile(v)[0] if v else (),
@@ -241,15 +248,6 @@ def flip_rightmost_unpaired_two(w: Sequence[int]) -> Word:
     if not un2:
         raise ValueError("no unpaired two")
     return _flip(w, un2[-1:], 1)
-
-
-def flip_leftmost_unpaired_one(w: Sequence[int]) -> Word:
-    """Inverse of flip_rightmost_unpaired_two."""
-    w = as_word(w)
-    _, un1, _ = match_pairs(w)
-    if not un1:
-        raise ValueError("no unpaired one")
-    return _flip(w, un1[:1], 2)
 
 
 def chains(n: int) -> list[list[Word]]:

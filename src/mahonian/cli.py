@@ -6,7 +6,10 @@ the same data as the text form.  Exit codes: 0 success, 1 verification
 failure, 2 usage error.  A usage error prints argparse's usage message or
 exactly one "error: " line: commands raise ValueError, KeyError or
 TypeError and main alone reports it.  The parameters an enumerate or
-genfun family takes are those of its callable's signature.  All
+genfun family takes are those of its callable's signature; --truncate
+fills a keyword-only parameter of that name (left unset, the callable's
+default holds) and is a usage error for a family without one.  verify
+checks its check names and bound flags before --all and --list too.  All
 computation is deterministic; --seed is accepted and ignored for harness
 compatibility.
 """
@@ -148,10 +151,12 @@ def _render_csv_trace(stages) -> str:
 
 def _call(fn, params: list, args, usage: str):
     """fn(*params), its keyword-only parameters read from the options of
-    the same name in args.  A parameter count that fn's signature does not
-    take is a usage error showing usage."""
+    the same name in args that were given (an option left unset leaves fn
+    its default).  A parameter count that fn's signature does not take is
+    a usage error showing usage."""
     sig = inspect.signature(fn)
     options = {k: getattr(args, k) for k, p in sig.parameters.items() if p.kind is p.KEYWORD_ONLY}
+    options = {k: v for k, v in options.items() if v is not None}
     try:
         sig.bind(*params, **options)
     except TypeError:
@@ -185,15 +190,18 @@ _GENFUN = {
     "lucas": G.lucas_poly,
     "lucanomial": G.lucanomial,
     "st-catalan": G.st_catalan,
-    "product-no-part": lambda t, *, truncate: G.truncated_product([i for i in range(1, truncate + 1) if i != t], truncate),
-    "product-mod": lambda modulus, r, *, truncate: G.truncated_product(P.parts_off_residues(modulus, r, truncate), truncate),
+    "product-no-part": lambda t, *, truncate=20: G.truncated_product([i for i in range(1, truncate + 1) if i != t], truncate),
+    "product-mod": lambda modulus, r, *, truncate=20: G.truncated_product(P.parts_off_residues(modulus, r, truncate), truncate),
 }
 
 
 def _cmd_genfun(args) -> int:
     name = args.family
     fn = _GENFUN[name]
-    usage = [name] + [k.upper() for k, p in inspect.signature(fn).parameters.items() if p.kind is not p.KEYWORD_ONLY]
+    params = inspect.signature(fn).parameters
+    if args.truncate is not None and "truncate" not in params:
+        raise ValueError(f"--truncate applies only to the product families, not to {name}")
+    usage = [name] + [k.upper() for k, p in params.items() if p.kind is not p.KEYWORD_ONLY]
     poly = _call(fn, [int(x) for x in args.params], args, " ".join(usage))
     if args.json:
         print(json.dumps({"family": name, "poly": str(poly), "terms": poly.to_json()}))
@@ -210,18 +218,19 @@ def _int_bounds() -> list[str]:
 
 
 def _cmd_verify(args) -> int:
-    if args.list:
-        for name, defn in CHECKS.items():
-            print(f"{name}: {defn.doc}")
-        return 0
-    names = list(CHECKS) if args.all or not args.checks else args.checks
-    unknown = [n for n in names if n not in CHECKS]
+    # names and bound flags are checked before --all or --list reads them
+    unknown = [n for n in args.checks if n not in CHECKS]
     if unknown:
         raise ValueError(f"unknown check: {', '.join(unknown)} (available checks: {', '.join(CHECKS)})")
+    names = list(CHECKS) if args.all or not args.checks else args.checks
     overrides = {k: getattr(args, k) for k in _int_bounds() if getattr(args, k) is not None}
     for flag in overrides:
         if not any(flag in CHECKS[n].bounds for n in names):
             raise ValueError(f"bound --{flag.replace('_', '-')} applies to none of the selected checks: {', '.join(names)}")
+    if args.list:
+        for name, defn in CHECKS.items():
+            print(f"{name}: {defn.doc}")
+        return 0
     reports = [
         run_check(
             name,
@@ -274,7 +283,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("genfun", help="print a named polynomial")
     p.add_argument("family", choices=sorted(_GENFUN))
     p.add_argument("params", nargs="*")
-    p.add_argument("--truncate", type=int, default=20, help="series truncation degree")
+    p.add_argument("--truncate", type=int, help="series truncation degree (product families, default 20)")
     p.set_defaults(fn=_cmd_genfun)
 
     p = sub.add_parser("verify", help="run registered identity checks")

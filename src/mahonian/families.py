@@ -60,8 +60,3 @@ FAMILIES: dict[str, tuple[str, Callable[..., Iterator], Callable[..., str]]] = {
     "first-difference": ("partitions with first difference T: first-difference T MAXSIZE", lambda t, cap: P.first_difference_class(int(t), int(cap)), P.format_partition),
 }
 
-
-def enumerate_family(name: str, *params: str) -> Iterator:
-    if name not in FAMILIES:
-        raise KeyError(name)
-    return FAMILIES[name][1](*params)

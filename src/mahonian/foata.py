@@ -94,7 +94,7 @@ def foata_words(alphabet: Sequence[int], n: int) -> Iterator[tuple[Word, Word]]:
     """
     alphabet = as_word(alphabet)
     if n < 0:
-        raise ValueError(f"word length must be non-negative, got {n}")
+        raise ValueError(f"word length must be nonnegative, got {n}")
 
     def branches(w: Word):
         if len(w) == n:

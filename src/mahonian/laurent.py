@@ -4,13 +4,16 @@ Terms live in a private dict mapping length-4 integer exponent vectors
 (exponents may be negative) to nonzero integer coefficients, read through
 the read-only terms mapping, so a polynomial never changes and is safe to
 hash.  Coefficients are plain Python ints, so there is no overflow.
-Equality is term-map equality and zero coefficients are never stored.
+Equality is term-map equality and zero coefficients are never stored;
+a polynomial is false exactly when it is zero.
+
+Polynomials are written out by str() and to_json() and are never parsed
+back: build them from the constants Q, T, Z, S, ONE and monomial().
 """
 
 from __future__ import annotations
 
-import re
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 from types import MappingProxyType
 
 VARS = ("q", "t", "z", "s")
@@ -55,9 +58,6 @@ class Laurent:
         e = [0] * _NVARS
         e[VARS.index(name)] = 1
         return cls({tuple(e): 1})
-
-    def is_zero(self) -> bool:
-        return not self._terms
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -145,9 +145,9 @@ class Laurent:
         nonzero remainder raises ExactDivisionError.  Valuation bounds
         per variable detect inexact division instead of diverging.
         """
-        if divisor.is_zero():
+        if not divisor:
             raise ZeroDivisionError("division by the zero polynomial")
-        if self.is_zero():
+        if not self:
             return Laurent()
         lo = tuple(
             min(e[i] for e in self._terms) - min(e[i] for e in divisor._terms)
@@ -207,23 +207,10 @@ class Laurent:
     def coefficient(self, q: int = 0, t: int = 0, z: int = 0, s: int = 0) -> int:
         return self._terms.get((q, t, z, s), 0)
 
-    def degree(self, var: str = "q") -> int | None:
-        """Largest exponent of var, or None for the zero polynomial."""
-        if not self._terms:
-            return None
-        i = VARS.index(var)
-        return max(e[i] for e in self._terms)
-
-    def truncate(self, var: str = "q", max_degree: int = 0) -> "Laurent":
+    def truncate(self, var: str, max_degree: int) -> "Laurent":
         """Drop terms whose exponent of var exceeds max_degree."""
         i = VARS.index(var)
         return Laurent({e: c for e, c in self._terms.items() if e[i] <= max_degree})
-
-    def uses_only(self, *names: str) -> bool:
-        allowed = {VARS.index(n) for n in names}
-        return all(
-            all(e[i] == 0 for i in range(_NVARS) if i not in allowed) for e in self._terms
-        )
 
     # -- serialization -------------------------------------------------------
 
@@ -257,47 +244,6 @@ class Laurent:
         return [
             {"exponents": list(e), "coeff": self._terms[e]} for e in sorted(self._terms)
         ]
-
-    @classmethod
-    def from_json(cls, data: Sequence[Mapping]) -> "Laurent":
-        return cls({tuple(item["exponents"]): item["coeff"] for item in data})
-
-
-_TERM_SPLIT = re.compile(r"\s+([+-])\s+")
-
-
-def parse_poly(text: str) -> Laurent:
-    """Inverse of str(): parse forms like "1 + 2*q^2*t - s^-1"."""
-    text = text.strip()
-    if not text or text == "0":
-        return Laurent()
-    chunks = _TERM_SPLIT.split(text)
-    signed: list[tuple[int, str]] = []
-    head = chunks[0]
-    if head.startswith("-"):
-        signed.append((-1, head[1:].strip()))
-    else:
-        signed.append((1, head.lstrip("+").strip()))
-    for k in range(1, len(chunks), 2):
-        signed.append((1 if chunks[k] == "+" else -1, chunks[k + 1]))
-    acc: dict[tuple[int, ...], int] = {}
-    for sign, token in signed:
-        coeff = sign
-        exps = [0] * _NVARS
-        for piece in token.split("*"):
-            piece = piece.strip()
-            if not piece:
-                raise ValueError(f"empty factor in {token!r}")
-            if piece.lstrip("-").isdigit():
-                coeff *= int(piece)
-                continue
-            name, _, e = piece.partition("^")
-            if name not in VARS:
-                raise ValueError(f"unknown variable {name!r}")
-            exps[VARS.index(name)] += int(e) if e else 1
-        key = tuple(exps)
-        acc[key] = acc.get(key, 0) + coeff
-    return Laurent(acc)
 
 
 def monomial(coeff: int = 1, q: int = 0, t: int = 0, z: int = 0, s: int = 0) -> Laurent:

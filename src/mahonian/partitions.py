@@ -96,29 +96,9 @@ def max_rank(p: Sequence[int]) -> int | None:
     return max(r) if r else None
 
 
-def max_rank_index(p: Sequence[int]) -> int | None:
-    """Largest 1-based index attaining the maximum rank, or None."""
-    r = ranks(p)
-    if not r:
-        return None
-    m = max(r)
-    return max(i for i, val in enumerate(r, start=1) if val == m)
-
-
 def all_ranks(p: Sequence[int], pred) -> bool:
     """True iff every successive rank satisfies pred (vacuously true)."""
     return all(pred(r) for r in ranks(p))
-
-
-def durfee_decomposition(p: Sequence[int]) -> tuple[int, Partition, Partition]:
-    """Split off the Durfee square: (side, arm to its right, leg below).
-
-    Sizes satisfy |p| = side^2 + |arm| + |leg|.
-    """
-    d = durfee(p)
-    right = tuple(x - d for x in p[:d] if x > d)
-    below = tuple(p[d:])
-    return d, right, below
 
 
 def ferrers(p: Sequence[int]) -> str:

@@ -116,7 +116,7 @@ def _register(name, doc, quick, full, established=True):
     return deco
 
 
-def _check_polys(left: Laurent, right: Laurent, label: str = "") -> None:
+def _check_polys(left: Laurent, right: Laurent, label: str) -> None:
     """Raise Counterexample at the first monomial whose coefficients differ."""
     if left == right:
         return
@@ -130,16 +130,15 @@ def _check_polys(left: Laurent, right: Laurent, label: str = "") -> None:
     raise AssertionError("unreachable")
 
 
-def _check_sets(left: set, right: set, fmt=str, label: str = "") -> None:
+def _check_sets(left: set, right: set, fmt, label: str) -> None:
     """Raise Counterexample at the least element in only one of the sets."""
     if left == right:
         return
     extra = sorted(fmt(x) for x in left - right)
     missing = sorted(fmt(x) for x in right - left)
-    prefix = f"{label}: " if label else ""
     if extra:
-        raise Counterexample(f"{prefix}{extra[0]} is in the left set only")
-    raise Counterexample(f"{prefix}{missing[0]} is in the right set only")
+        raise Counterexample(f"{label}: {extra[0]} is in the left set only")
+    raise Counterexample(f"{label}: {missing[0]} is in the right set only")
 
 
 def _check_image(family, ones: int, twos: int, member, label: str) -> set:
@@ -586,18 +585,15 @@ def _chk_compositions(max_n_comp, max_n_beta):
                 raise Counterexample(f"two's encoding not bijective at n={n}, d={d}")
     for n in range(max_n_beta + 1):
         pairs_by_d: dict[int, set] = {}
-        seen = set()
         for v in W.permutations_of((1,) * n + (2,) * n):
             if not W.is_ballot(foata(v)):
                 continue
             om, ta = W.ones_twos_compositions(v)
             if not (B.is_ones_composition(om) and B.is_twos_composition(ta)):
                 raise Counterexample(f"composition of v={W.format_word(v)} out of family")
-            key = (om, ta)
-            if key in seen:
-                raise Counterexample(f"product map not injective at v={W.format_word(v)}")
-            seen.add(key)
-            pairs_by_d.setdefault(W.des(v), set()).add(key)
+            if W.word_from_compositions(om, ta) != v:
+                raise Counterexample(f"word_from_compositions does not undo v={W.format_word(v)}")
+            pairs_by_d.setdefault(W.des(v), set()).add((om, ta))
         for d, got in pairs_by_d.items():
             want = {
                 (o, t)
@@ -622,7 +618,6 @@ def _chk_compositions(max_n_comp, max_n_beta):
 )
 def _chk_split(max_n):
     for n in range(max_n + 1):
-        images = set()
         for w in W.ballot_words(n, n):
             x, y = B.ballot_split(w)
             d = sum(1 for a in x if a == 2)
@@ -632,9 +627,8 @@ def _chk_split(max_n):
                 raise Counterexample(f"two-counts differ at {W.format_word(w)}")
             if W.inv(w) != W.inv(x) + W.inv(y) + d * d:
                 raise Counterexample(f"inversion law fails at {W.format_word(w)}")
-            if (x, y) in images:
-                raise Counterexample(f"split not injective at {W.format_word(w)}")
-            images.add((x, y))
+            if B.ballot_unsplit(x, y) != w:
+                raise Counterexample(f"ballot_unsplit does not undo the split of {W.format_word(w)}")
 
 
 @_register(

@@ -227,10 +227,6 @@ def contains_pattern(w: Sequence[int], pattern: Sequence[int]) -> bool:
     return False
 
 
-def avoids_all(w: Sequence[int], patterns: Iterable[Sequence[int]]) -> bool:
-    return not any(contains_pattern(w, p) for p in patterns)
-
-
 # ---------------------------------------------------------------------------
 # word families
 #
@@ -415,4 +411,4 @@ def symmetric_group(n: int) -> Iterator[Word]:
 def pattern_class(n: int, patterns: Iterable[Sequence[int]]) -> Iterator[Word]:
     """Permutations of 1..n avoiding every listed pattern, lexicographically."""
     pats = [as_word(p) for p in patterns]
-    return (perm for perm in symmetric_group(n) if avoids_all(perm, pats))
+    return (perm for perm in symmetric_group(n) if not any(contains_pattern(perm, p) for p in pats))

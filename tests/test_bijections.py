@@ -13,7 +13,6 @@ from mahonian.bijections import (
     csv_step,
     csv_trace,
     csv_via_words,
-    flip_leftmost_unpaired_one,
     flip_rightmost_unpaired_two,
     gk_inverse,
     gk_map,
@@ -30,8 +29,8 @@ from mahonian.partitions import (
     conjugate,
     delta,
     max_rank,
-    max_rank_index,
     partitions_of,
+    ranks,
     size,
 )
 from mahonian.words import (
@@ -117,7 +116,8 @@ def _csv_step_by_conjugates(p):
     r = max_rank(p)
     if r is None or r < 0:
         raise ValueError("rank reduction needs a nonnegative maximum rank")
-    i = max_rank_index(p)
+    rho = ranks(p)
+    i = max(k for k, x in enumerate(rho, start=1) if x == r)
     cols = list(conjugate(p))
     if i not in cols:
         raise ValueError(f"no column of height {i} to remove from {p}")
@@ -193,11 +193,8 @@ def test_csv_trace_stage_count():
 
 def test_flip_maps():
     assert flip_rightmost_unpaired_two(parse_word("2211")) == parse_word("2111")
-    assert flip_leftmost_unpaired_one(parse_word("2111")) == parse_word("2211")
     with pytest.raises(ValueError):
         flip_rightmost_unpaired_two(parse_word("1122"))
-    with pytest.raises(ValueError):
-        flip_leftmost_unpaired_one(parse_word("1122"))
 
 
 def test_flip_preserves_pairs():
@@ -338,7 +335,6 @@ def _gk_inverse_flip_by_flip(w):
 
 _CHAIN_MAPS = [
     (flip_rightmost_unpaired_two, _flip_two_by_slicing),
-    (flip_leftmost_unpaired_one, _flip_one_by_slicing),
     (gk_map, _gk_map_flip_by_flip),
     (gk_inverse, _gk_inverse_flip_by_flip),
 ]

@@ -170,6 +170,11 @@ def test_genfun_product(capsys):
     data = json.loads(out)
     # coefficient of q^5 is 2: partitions 5 and 3+2
     assert {"exponents": [5, 0, 0, 0], "coeff": 2} in data["terms"]
+    # without --truncate the products stop at degree 20
+    code, out, _ = run_cli(capsys, "genfun", "product-no-part", "1")
+    assert code == 0 and out.split()[-1] == "137*q^20"
+    assert run_cli(capsys, "genfun", "product-no-part", "1", "--truncate", "20") == (0, out, "")
+    assert run_cli(capsys, "genfun", "product-mod", "5", "1")[1].split()[-1] == "20*q^20"
 
 
 def test_genfun_unknown(capsys):
@@ -332,12 +337,15 @@ def test_domain_errors_are_usage_errors(capsys):
         ["enumerate", "first-difference", "0", "-1"],
         ["map", "gk", "121", "--trace"],
         ["map", "boundary", "(2,1)", "--trace"],
+        ["verify", "--all", "no-such-check"],
+        ["verify", "--list", "no-such-check", "--degree", "3"],
+        ["genfun", "qbinom", "4", "2", "--truncate", "1"],
         *_WRONG_CALLS,
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2, argv
         assert out == ""
-        assert err.startswith("error: ")
+        assert err.startswith("error: ") and err.count("\n") == 1, argv
     # an unknown name, an inapplicable bound or a wrong parameter count is
     # reported by name, not by the Python internals it trips over
     for argv in _WRONG_CALLS:

@@ -1,6 +1,4 @@
-import pytest
-
-from mahonian.families import FAMILIES, enumerate_family
+from mahonian.families import FAMILIES
 from mahonian.partitions import max_rank, partition_of_word
 from mahonian.words import (
     excess_profile,
@@ -37,13 +35,8 @@ def test_registry_smoke():
     }
     assert set(smoke) == set(FAMILIES)
     for name, params in smoke.items():
-        items = list(enumerate_family(name, *params))
+        items = list(FAMILIES[name][1](*params))
         assert items, name
-
-
-def test_unknown_family():
-    with pytest.raises(KeyError):
-        enumerate_family("nope")
 
 
 def test_excess_class_partitions_the_square_words():
@@ -51,7 +44,7 @@ def test_excess_class_partitions_the_square_words():
     words = set(permutations_of((1,) * n + (2,) * n))
     by_excess = {}
     for k in range(n + 1):
-        for w in enumerate_family("excess", str(n), str(k)):
+        for w in FAMILIES["excess"][1](str(n), str(k)):
             assert excess_profile(w)[1] == k
             by_excess.setdefault(w, k)
     assert set(by_excess) == words
@@ -64,7 +57,7 @@ def test_max_rank_class_misses_only_the_sorted_word():
     words = set(permutations_of((1,) * n + (2,) * n))
     covered = set()
     for k in range(-n, n):
-        covered |= set(enumerate_family("max-rank", str(n), str(k)))
+        covered |= set(FAMILIES["max-rank"][1](str(n), str(k)))
     # the unique word with an empty path partition has no ranks at all
     assert words - covered == {(1,) * n + (2,) * n}
     for w in covered:
@@ -72,7 +65,7 @@ def test_max_rank_class_misses_only_the_sorted_word():
 
 
 def test_suffix_enumeration_order():
-    got = [format_word(w) for w in enumerate_family("suffix", "121", "5")]
+    got = [format_word(w) for w in FAMILIES["suffix"][1]("121", "5")]
     assert got[0] == ""
     assert got[1] == "121"
     assert got[2:4] == ["1121", "2121"]

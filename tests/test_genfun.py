@@ -23,7 +23,7 @@ from mahonian.genfun import (
     st_catalan,
     truncated_product,
 )
-from mahonian.laurent import ONE, Q, ZERO, ExactDivisionError, Laurent, monomial, parse_poly
+from mahonian.laurent import ONE, Q, S, T, ZERO, ExactDivisionError, Laurent, monomial
 from mahonian.partitions import no_part_equal, size
 from mahonian.words import ballot_words, des, inv, maj, permutations_of
 
@@ -66,14 +66,14 @@ def _lucanomial_oracle(n, k):
 
 def test_q_basics():
     assert q_int(0) == ZERO
-    assert q_int(3) == parse_poly("1 + q + q^2")
-    assert q_factorial(3) == parse_poly("1 + 2*q + 2*q^2 + q^3")
-    assert q_binomial(4, 2) == parse_poly("1 + q + 2*q^2 + q^3 + q^4")
+    assert q_int(3) == 1 + Q + Q**2
+    assert q_factorial(3) == 1 + 2 * Q + 2 * Q**2 + Q**3
+    assert q_binomial(4, 2) == 1 + Q + 2 * Q**2 + Q**3 + Q**4
     assert q_binomial(5, 0) == ONE
     assert q_binomial(4, -1) == ZERO
     assert q_binomial(4, 5) == ZERO
     # degree of the Gaussian binomial is k(n-k)
-    assert q_binomial(7, 3).degree("q") == 12
+    assert max(q for q, *_ in q_binomial(7, 3).terms) == 12
 
 
 def test_distribution():
@@ -88,7 +88,7 @@ def test_distribution():
 
 def test_catalan_polys():
     assert catalan_qt(0) == ONE
-    assert catalan_qt(2) == parse_poly("1 + q^2*t")
+    assert catalan_qt(2) == 1 + Q**2 * T
     assert catalan_qt(2).coefficient(q=2, t=1) == 1
     assert catalan_q(2) == ONE + Q
 
@@ -126,14 +126,14 @@ def test_lucas_layer():
     assert lucas_poly(0) == ZERO
     assert lucas_poly(1) == ONE
     assert lucas_poly(2) == monomial(1, s=1)
-    assert lucas_poly(3) == parse_poly("s^2 + t")
-    assert lucas_poly(4) == parse_poly("s^3 + 2*s*t")
-    assert lucanomial(4, 2) == parse_poly("s^4 + 3*s^2*t + 2*t^2")
+    assert lucas_poly(3) == S**2 + T
+    assert lucas_poly(4) == S**3 + 2 * S * T
+    assert lucanomial(4, 2) == S**4 + 3 * S**2 * T + 2 * T**2
     assert lucanomial(4, 0) == ONE
     assert lucanomial(4, -1) == ZERO
     assert lucanomial(3, 5) == ZERO
     assert st_catalan(1) == ONE
-    assert st_catalan(2) == parse_poly("s^2 + 2*t")
+    assert st_catalan(2) == S**2 + 2 * T
 
 
 def test_lucanomial_specializations():

@@ -10,7 +10,6 @@ from mahonian.laurent import (
     ExactDivisionError,
     Laurent,
     monomial,
-    parse_poly,
 )
 
 exponents = st.tuples(*[st.integers(min_value=-3, max_value=3)] * 4)
@@ -22,7 +21,7 @@ def test_basic_arithmetic():
     p = ONE + Q
     assert p * p == ONE + 2 * Q + Q**2
     assert p - p == ZERO
-    assert (p * ZERO).is_zero()
+    assert not p * ZERO
     assert Q * T == monomial(1, q=1, t=1)
     assert -(Q - T) == T - Q
     assert Q**0 == ONE
@@ -66,26 +65,11 @@ def test_str_and_parse():
     assert str(ONE + Q**2 + 2 * monomial(1, q=3, t=1)) == "1 + q^2 + 2*q^3*t"
     assert str(Q**-1 - ONE) == "q^-1 - 1"
     assert str(monomial(-1, q=1)) == "-q"
-    assert parse_poly("1 + q^2 + 2*q^3*t") == ONE + Q**2 + 2 * monomial(1, q=3, t=1)
-    assert parse_poly("-q + 3") == 3 - Q
-    assert parse_poly("0") == ZERO
-    with pytest.raises(ValueError):
-        parse_poly("1 + x")
 
 
 def test_display_variable_order():
     assert str(monomial(3, s=2, t=1)) == "3*s^2*t"
     assert str(monomial(1, q=1, t=2, z=-1, s=3)) == "q*s^3*t^2*z^-1"
-
-
-@given(polys)
-def test_text_roundtrip(p):
-    assert parse_poly(str(p)) == p
-
-
-@given(polys)
-def test_json_roundtrip(p):
-    assert Laurent.from_json(p.to_json()) == p
 
 
 @given(polys, polys, polys)
@@ -104,7 +88,7 @@ def test_ring_axioms(a, b, c):
 @given(polys, polys)
 @settings(max_examples=60)
 def test_multiply_divide_roundtrip(a, b):
-    if b.is_zero():
+    if not b:
         return
     assert (a * b).divide_exact(b) == a
 
@@ -114,10 +98,6 @@ def test_truncate_and_queries():
     assert p.truncate("q", 2) == ONE + monomial(2, q=2, t=1)
     assert p.coefficient(q=5) == 1
     assert p.coefficient(q=2, t=1) == 2
-    assert p.degree("q") == 5
-    assert ZERO.degree("q") is None
-    assert p.uses_only("q", "t")
-    assert not p.uses_only("q")
 
 
 def test_terms_are_read_only():

@@ -10,13 +10,11 @@ from mahonian.partitions import (
     conjugate,
     delta,
     durfee,
-    durfee_decomposition,
     ferrers,
     first_difference_class,
     format_partition,
     max_rank,
     max_rank_class,
-    max_rank_index,
     no_part_congruent,
     no_part_equal,
     parse_partition,
@@ -112,20 +110,10 @@ def test_boundary_roundtrip_box():
 def test_ranks_examples():
     assert ranks((8, 8, 6, 5, 2, 1)) == (2, 3, 2, 1)
     assert max_rank((8, 8, 6, 5, 2, 1)) == 3
-    assert max_rank_index((8, 8, 6, 5, 2, 1)) == 2
     assert ranks((4, 4, 4, 4)) == (0, 0, 0, 0)
     assert ranks((3, 3, 3)) == (0, 0, 0)
     assert ranks((8, 4, 3, 3, 3, 3, 2, 2, 1, 1)) == (-2, -4, -3)
     assert max_rank(()) is None
-    assert max_rank_index(()) is None
-
-
-def test_durfee_decomposition():
-    assert durfee_decomposition((3, 2, 2)) == (2, (1,), (2,))
-    assert durfee_decomposition(()) == (0, (), ())
-    assert durfee_decomposition((4, 4, 4, 4)) == (4, (), ())
-    d, right, below = durfee_decomposition((6, 5, 3, 2, 2, 1))
-    assert size((6, 5, 3, 2, 2, 1)) == d * d + size(right) + size(below)
 
 
 @given(partition_lists)

@@ -133,3 +133,34 @@ def test_every_legal_bound_gives_a_verdict(name):
             assert report.verdict == "pass", f"{key}={value}: {report.witness}"
     report = run_check(name, bounds=dict.fromkeys(ints, 0), profile="quick")
     assert report.verdict == "pass", report.witness
+
+
+def test_round_trips_catch_broken_inverses_and_collisions(monkeypatch):
+    """ballot-split and composition-maps prove injectivity by undoing each
+    map with its inverse, so a faulty inverse fails them, and so does a
+    split that sends two words to one pair while keeping every other law."""
+    from mahonian import verify
+
+    B, W = verify.B, verify.W
+    unsplit, unfactor, split = B.ballot_unsplit, W.word_from_compositions, B.ballot_split
+    with monkeypatch.context() as m:
+        m.setattr(B, "ballot_unsplit", lambda x, y: unsplit(x, y)[::-1])
+        report = run_check("ballot-split", profile="quick")
+    assert report.verdict == "fail"
+    assert report.witness == "ballot_unsplit does not undo the split of 12"
+    with monkeypatch.context() as m:
+        m.setattr(W, "word_from_compositions", lambda om, ta: unfactor(om, ta)[::-1])
+        report = run_check("composition-maps", profile="quick")
+    assert report.verdict == "fail"
+    assert report.witness == "word_from_compositions does not undo v=12"
+
+    def collapsing_split(w):
+        # the split of the least ballot word with as many inversions as w
+        n = len(w) // 2
+        return split(min(v for v in W.ballot_words(n, n) if W.inv(v) == W.inv(w)))
+
+    with monkeypatch.context() as m:
+        m.setattr(B, "ballot_split", collapsing_split)
+        report = run_check("ballot-split", profile="quick")
+    assert report.verdict == "fail"
+    assert report.witness == "ballot_unsplit does not undo the split of 121122"
