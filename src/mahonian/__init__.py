@@ -28,9 +28,10 @@ from .foata import (
     foata_binary,
     foata_inverse,
     foata_inverse_binary,
+    foata_peel,
     foata_step,
     foata_trace,
-    foata_words,
+    foata_tree,
 )
 from .genfun import (
     carlitz_series,
@@ -67,6 +68,7 @@ from .partitions import (
 )
 from .verify import CHECKS, Counterexample, PairReport, check_mahonian_pair, run_check, run_suite
 from .words import (
+    avoiders,
     ballot_words,
     contains_pattern,
     des,

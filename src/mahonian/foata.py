@@ -11,19 +11,20 @@ maj(v) = inv(foata(v)) for every word v.
 
 The step has three consumers: foata is the left fold of the step over v,
 foata_trace records every stage of that fold with its factors, and
-foata_words streams (v, foata(v)) over all words of one length, taking
-each image from its prefix's image with a single step.
+foata_tree streams (v, foata(v)) over every word up to a length, taking
+each image from its parent's image with a single step.
 
-foata_inverse, foata_binary and foata_inverse_binary are independent
-routes to the same bijection and never call the step; they are the
-oracles the exhaustive checks compare the step against.
+foata_peel undoes one step, foata(v + (a,)) -> (foata(v), a), and
+foata_inverse is its fold.  foata_binary and foata_inverse_binary are
+independent routes to the same bijection on binary words and never call
+the step; they are the oracles the exhaustive checks compare it against.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 
-from .words import Word, as_word, format_word, ones_twos_compositions, require_binary, walk
+from .words import Word, as_word, format_word, ones_twos_compositions, require_binary
 
 Trace = list[tuple[Word, tuple[Word, ...] | None]]
 
@@ -82,56 +83,89 @@ def foata_trace(v: Sequence[int]) -> Trace:
     return stages
 
 
-def foata_words(alphabet: Sequence[int], n: int) -> Iterator[tuple[Word, Word]]:
-    """(v, foata(v)) for every word v of length n over alphabet, in
-    itertools.product order.
+def foata_tree(alphabet: Sequence[int], max_len: int) -> Iterator[tuple[Word, Word]]:
+    """(v, foata(v)) for every word v of at most max_len letters over
+    alphabet, in lexicographic order (a preorder of the prefix tree, so
+    each word comes before its extensions).
 
-    A walk of the prefix tree, so no level is ever held in memory: each
-    image is one step from its prefix's image.  The children of a node
-    come from a generator, so a child's image is computed only just before
-    its subtree is entered, and a step that raises does so at the same
-    word as folding each word of itertools.product in turn would.
+    One depth-first walk with an explicit stack, so depth is bounded only
+    by memory and no level is ever held.  Each child's image is one step
+    from its parent's image, computed just before the child is yielded,
+    so a step that raises does so at the same word as folding each word
+    of the stream in turn would.
     """
     alphabet = as_word(alphabet)
-    if n < 0:
-        raise ValueError(f"word length must be nonnegative, got {n}")
+    if max_len < 0:
+        raise ValueError(f"word length must be nonnegative, got {max_len}")
+    return _tree(alphabet, max_len)
 
-    def branches(w: Word):
-        if len(w) == n:
-            return None
-        return ((a, foata_step(w, a)) for a in alphabet)
 
-    return walk((), branches)
+def _tree(alphabet: Word, max_len: int) -> Iterator[tuple[Word, Word]]:
+    yield (), ()
+    if not max_len:
+        return
+    v: list[int] = []
+    images: list[Word] = [()]  # images[i] is the image of v[:i]
+    stack = [iter(alphabet)]
+    while stack:
+        for a in stack[-1]:
+            w = foata_step(images[-1], a)
+            v.append(a)
+            yield tuple(v), w
+            if len(v) < max_len:
+                images.append(w)
+                stack.append(iter(alphabet))
+                break
+            v.pop()
+        else:
+            stack.pop()
+            images.pop()
+            del v[-1:]  # the root's children were reached by no letter
+
+
+def foata_peel(w: Sequence[int]) -> tuple[Word, int]:
+    """Undo one step: foata(v + (a,)) -> (foata(v), a).
+
+    Peel the final letter a and undo the factor rotations.  After a
+    rotation each factor starts with its old closing letter, so comparing
+    the first remaining letter against a recovers which cutting rule
+    applied, and the factor starts with it.  One pass carries the current
+    factor's head and emits it when the next factor starts; each rule has
+    its own loop, so a letter costs one comparison.  The letters are not
+    validated.
+    """
+    if not w:
+        raise ValueError("cannot peel the empty word")
+    a = w[-1]
+    if len(w) == 1:
+        return (), a
+    head = w[0]
+    out: list[int] = []
+    if head <= a:  # every factor closes at a letter <= a
+        for b in w[1:-1]:
+            if b <= a:
+                out.append(head)
+                head = b
+            else:
+                out.append(b)
+    else:  # every factor closes at a letter > a
+        for b in w[1:-1]:
+            if b > a:
+                out.append(head)
+                head = b
+            else:
+                out.append(b)
+    out.append(head)
+    return tuple(out), a
 
 
 def foata_inverse(w: Sequence[int]) -> Word:
-    """Inverse map: peel the final letter and undo the factor rotations.
-
-    After a rotation each factor starts with its old closing letter, so
-    comparing the first remaining letter against the peeled letter
-    recovers which cutting rule applied, and the factor starts with it.
-    Each peel is one pass that carries the current factor's head and
-    emits it when the next factor starts.
-    """
+    """Inverse map: the fold of foata_peel, read back to front."""
     out: list[int] = []
-    cur = list(as_word(w))
-    while cur:
-        a = cur.pop()
+    u = as_word(w)
+    while u:
+        u, a = foata_peel(u)
         out.append(a)
-        if not cur:
-            break
-        letters = iter(cur)
-        head = next(letters)
-        low = head <= a
-        nxt: list[int] = []
-        for b in letters:
-            if (b <= a) == low:
-                nxt.append(head)
-                head = b
-            else:
-                nxt.append(b)
-        nxt.append(head)
-        cur = nxt
     out.reverse()
     return tuple(out)
 

@@ -29,6 +29,21 @@ slow routes:
   specializations.
 - rank-catalan-qt reads catalan_qt against partitions in a box, and
   catalan-four-term reads the dynamic program alone.
+
+Some checks walk a generating tree instead of enumerating each size anew:
+
+- maj-inv-foata, foata-roundtrip, foata-binary-forms, maj-des-durfee,
+  excess-rank-lemma, fib-preimage-runs, fib-dual-mirror and
+  infinite-pair-images each walk one foata_tree, every word up to the
+  bound in one stream.  Their first witness is the first failing word in
+  lexicographic preorder (each word before its extensions), not the
+  shortest one.
+- foata-roundtrip and foata-binary-forms peel every edge back to its
+  parent's image; foata_inverse is the fold of foata_peel, so that is the
+  round trip for every word by induction on length.
+- pattern-pairs grows its classes by inserting the maximum
+  (words.avoiders) and holds each against the n! filter pattern_class
+  up to n = 5.
 """
 
 from __future__ import annotations
@@ -46,9 +61,9 @@ from .foata import (
     foata_binary,
     foata_inverse,
     foata_inverse_binary,
-    foata_step,
+    foata_peel,
     foata_trace,
-    foata_words,
+    foata_tree,
 )
 from . import genfun as G
 from . import partitions as P
@@ -206,12 +221,11 @@ def _chk_worked_example():
 )
 def _chk_maj_inv(binary_len, ternary_len):
     for alphabet, cap in (((1, 2), binary_len), ((1, 2, 3), ternary_len)):
-        for n in range(cap + 1):
-            for v, w in foata_words(alphabet, n):
-                if W.maj(v) != W.inv(w):
-                    raise Counterexample(f"v={W.format_word(v)}")
-                if sorted(w) != sorted(v):
-                    raise Counterexample(f"letters not preserved at v={W.format_word(v)}")
+        for v, w in foata_tree(alphabet, cap):
+            if W.maj(v) != W.inv(w):
+                raise Counterexample(f"v={W.format_word(v)}")
+            if sorted(w) != sorted(v):
+                raise Counterexample(f"letters not preserved at v={W.format_word(v)}")
 
 
 @_register(
@@ -221,10 +235,14 @@ def _chk_maj_inv(binary_len, ternary_len):
     full={"ternary_len": 9},
 )
 def _chk_roundtrip(ternary_len):
-    for n in range(ternary_len + 1):
-        for v, w in foata_words((1, 2, 3), n):
-            if foata_inverse(w) != v:
-                raise Counterexample(f"v={W.format_word(v)}")
+    # the inverse is the fold of the peel, so peeling each edge back to its
+    # parent proves the round trip for every word by induction on length
+    path: list = []  # path[i] is the image of v[:i]
+    for v, w in foata_tree((1, 2, 3), ternary_len):
+        del path[len(v) :]
+        if v and foata_peel(w) != (path[-1], v[-1]):
+            raise Counterexample(f"v={W.format_word(v)}")
+        path.append(w)
 
 
 @_register(
@@ -235,22 +253,26 @@ def _chk_roundtrip(ternary_len):
     full={"max_len": 14},
 )
 def _chk_binary_forms(max_len):
-    for n in range(max_len + 1):
-        for v, w in foata_words((1, 2), n):
-            if foata_binary(v) != w:
-                raise Counterexample(f"closed form differs at v={W.format_word(v)}")
-            if foata_inverse_binary(w) != foata_inverse(w):
-                raise Counterexample(f"binary inverse differs at w={W.format_word(w)}")
-    for n in range(max(0, max_len - 2) + 1):
-        for v, w in foata_words((1, 2), n):
-            w2 = foata_step(w, 2)
-            if w2 != w + (2,):
-                raise Counterexample(f"rule w2 fails at {W.format_word(v)}")
-            w1 = foata_step(w, 1)
-            if foata_step(w1, 1) != (1,) + w1:
-                raise Counterexample(f"rule w11 fails at {W.format_word(v)}")
-            if foata_step(w2, 1) != (2,) + w + (1,):
-                raise Counterexample(f"rule w21 fails at {W.format_word(v)}")
+    # the rewriting rules are read off each node's parent and grandparent
+    # images: v2 -> w2, v11 -> 1 w1 and v21 -> 2 w 1, with w the image of v
+    path: list = []  # path[i] is the image of x[:i]
+    for x, w in foata_tree((1, 2), max_len):
+        del path[len(x) :]
+        if foata_binary(x) != w:
+            raise Counterexample(f"closed form differs at v={W.format_word(x)}")
+        if foata_inverse_binary(w) != x:
+            raise Counterexample(f"binary inverse differs at w={W.format_word(w)}")
+        if x:
+            parent = path[-1]
+            if foata_peel(w) != (parent, x[-1]):
+                raise Counterexample(f"peel differs at w={W.format_word(w)}")
+            if x[-1] == 2 and w != parent + (2,):
+                raise Counterexample(f"rule w2 fails at {W.format_word(x[:-1])}")
+            if x[-2:] == (1, 1) and w != (1,) + parent:
+                raise Counterexample(f"rule w11 fails at {W.format_word(x[:-2])}")
+            if x[-2:] == (2, 1) and w != (2,) + path[-2] + (1,):
+                raise Counterexample(f"rule w21 fails at {W.format_word(x[:-2])}")
+        path.append(w)
 
 
 @_register(
@@ -332,11 +354,10 @@ def _chk_lattice(max_total):
     full={"max_len": 12},
 )
 def _chk_maj_des_durfee(max_len):
-    for n in range(max_len + 1):
-        for v, w in foata_words((1, 2), n):
-            lam = P.partition_of_word(w)
-            if W.maj(v) != P.size(lam) or W.des(v) != P.durfee(lam):
-                raise Counterexample(f"v={W.format_word(v)}")
+    for v, w in foata_tree((1, 2), max_len):
+        lam = P.partition_of_word(w)
+        if W.maj(v) != P.size(lam) or W.des(v) != P.durfee(lam):
+            raise Counterexample(f"v={W.format_word(v)}")
 
 
 @_register(
@@ -364,23 +385,22 @@ def _chk_excess_pairing(max_n):
     full={"max_len": 12},
 )
 def _chk_excess_rank(max_len):
-    for n in range(max_len + 1):
-        for v, w in foata_words((1, 2), n):
-            lam = P.partition_of_word(w)
-            rho = P.ranks(lam)
-            d = P.durfee(lam)
-            evec, e, _ = W.excess_profile(v)
-            if W.des(v) != d:
-                raise Counterexample(f"descents differ at v={W.format_word(v)}")
-            for i in range(d):
-                if evec[i] != rho[d - i - 1] + 1:
-                    raise Counterexample(f"coordinate {i} fails at v={W.format_word(v)}")
-            if d >= 1:
-                r = max(rho)
-                if e < r + 1:
-                    raise Counterexample(f"inequality fails at v={W.format_word(v)}")
-                if evec[d] < e and e != r + 1:
-                    raise Counterexample(f"equality case fails at v={W.format_word(v)}")
+    for v, w in foata_tree((1, 2), max_len):
+        lam = P.partition_of_word(w)
+        rho = P.ranks(lam)
+        d = P.durfee(lam)
+        evec, e, _ = W.excess_profile(v)
+        if W.des(v) != d:
+            raise Counterexample(f"descents differ at v={W.format_word(v)}")
+        for i in range(d):
+            if evec[i] != rho[d - i - 1] + 1:
+                raise Counterexample(f"coordinate {i} fails at v={W.format_word(v)}")
+        if d >= 1:
+            r = max(rho)
+            if e < r + 1:
+                raise Counterexample(f"inequality fails at v={W.format_word(v)}")
+            if evec[d] < e and e != r + 1:
+                raise Counterexample(f"equality case fails at v={W.format_word(v)}")
 
 
 # ---------------------------------------------------------------------------
@@ -732,10 +752,9 @@ def _chk_fib_preimage(max_n):
                 return False
         return True
 
-    for n in range(max_n + 1):
-        for v, w in foata_words((1, 2), n):
-            if _no_adjacent(w, 1) != run_conditions(v):
-                raise Counterexample(f"v={W.format_word(v)}")
+    for v, w in foata_tree((1, 2), max_n):
+        if _no_adjacent(w, 1) != run_conditions(v):
+            raise Counterexample(f"v={W.format_word(v)}")
 
 
 @_register(
@@ -774,12 +793,12 @@ def _chk_fib_dual(max_n):
     for n in range(max_n + 1):
         for k in range(n + 1):
             _check_image(W.fibonacci_dual_words(n, ones=k), k, n - k, image_member, f"n={n}, k={k}")
-        for v, w in foata_words((1, 2), n):
-            if _no_adjacent(w, 2) != run_conditions(v):
-                raise Counterexample(f"run conditions fail at v={W.format_word(v)}")
         lhs = G.distribution(W.fibonacci_dual_words(n), {"q": W.maj, "t": W.des})
         rhs_poly = G.fib_poly(n).substitute({"q": Q**-1, "t": monomial(1, q=n, t=1)})
         _check_polys(lhs, rhs_poly, f"n={n}")
+    for v, w in foata_tree((1, 2), max_n):
+        if _no_adjacent(w, 2) != run_conditions(v):
+            raise Counterexample(f"run conditions fail at v={W.format_word(v)}")
 
 
 @_register(
@@ -827,20 +846,19 @@ def _chk_carlitz(max_coeff):
     full={"max_len": 14},
 )
 def _chk_infinite_images(max_len):
-    for n in range(max_len + 1):
-        for v, w in foata_words((1, 2), n):
-            lam = P.partition_of_boundary(w) if P.is_boundary_word(w) else None
-            in_w21 = v == () or v[-2:] == (2, 1)
-            if in_w21 != (lam is not None):
-                raise Counterexample(f"21-suffix case fails at v={W.format_word(v)}")
-            in_b21 = in_w21 and W.is_ballot(v)
-            rhs_b = lam is not None and P.all_ranks(lam, lambda r: r < 0)
-            if in_b21 != rhs_b:
-                raise Counterexample(f"ballot case fails at v={W.format_word(v)}")
-            in_w121 = v == () or v[-3:] == (1, 2, 1)
-            rhs_d = lam is not None and P.delta(lam) == 0
-            if in_w121 != rhs_d:
-                raise Counterexample(f"121-suffix case fails at v={W.format_word(v)}")
+    for v, w in foata_tree((1, 2), max_len):
+        lam = P.partition_of_boundary(w) if P.is_boundary_word(w) else None
+        in_w21 = v == () or v[-2:] == (2, 1)
+        if in_w21 != (lam is not None):
+            raise Counterexample(f"21-suffix case fails at v={W.format_word(v)}")
+        in_b21 = in_w21 and W.is_ballot(v)
+        rhs_b = lam is not None and P.all_ranks(lam, lambda r: r < 0)
+        if in_b21 != rhs_b:
+            raise Counterexample(f"ballot case fails at v={W.format_word(v)}")
+        in_w121 = v == () or v[-3:] == (1, 2, 1)
+        rhs_d = lam is not None and P.delta(lam) == 0
+        if in_w121 != rhs_d:
+            raise Counterexample(f"121-suffix case fails at v={W.format_word(v)}")
 
 
 @_register(
@@ -1048,7 +1066,7 @@ def _chk_conjugacy(max_size):
 @_register(
     "gk-bijection",
     "the chain map is a bijection between 121-suffix words and ballot "
-    "21-suffix words, and the single flips preserve the pairing",
+    "21-suffix words, and the single flip preserves the pairing",
     quick={"max_len": 10},
     full={"max_len": 14},
 )
@@ -1172,14 +1190,14 @@ def _chk_pattern_pairs(max_n):
         return "{" + ",".join(W.format_word(p) for p in pats) + "}"
 
     for n in range(max_n + 1):
-        majd = [
-            (pats, G.distribution(W.pattern_class(n, pats), {"q": W.maj}))
-            for pats in _PATTERN_MAJ_SETS
-        ]
-        invd = [
-            (pats, G.distribution(W.pattern_class(n, pats), {"q": W.inv}))
-            for pats in _PATTERN_INV_SETS
-        ]
+        classes = {}
+        for pats in dict.fromkeys(_PATTERN_MAJ_SETS + _PATTERN_INV_SETS):
+            classes[pats] = list(W.avoiders(n, pats))
+            if n <= 5:  # the n! filter as the oracle for the generating tree
+                oracle = set(W.pattern_class(n, pats))
+                _check_sets(set(classes[pats]), oracle, W.format_word, f"n={n}, Av{fmt(pats)}")
+        majd = [(pats, G.distribution(classes[pats], {"q": W.maj})) for pats in _PATTERN_MAJ_SETS]
+        invd = [(pats, G.distribution(classes[pats], {"q": W.inv})) for pats in _PATTERN_INV_SETS]
         for mp, a in majd:
             for ip, b in invd:
                 _check_polys(a, b, f"n={n}, maj over Av{fmt(mp)}, inv over Av{fmt(ip)}")

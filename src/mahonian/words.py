@@ -6,8 +6,8 @@ index is a sum of positions, so the convention matters).
 
 The word families are loops, never recursions: rearrangements step by
 Algorithm L, and the ballot, Fibonacci and letter-sum families are the
-leaves of a prefix tree visited by walk, which the composition streams
-(bijections) and the Foata image stream (foata) share.
+leaves of a prefix tree visited by walk, which the pattern classes grown
+by insertion (avoiders) and the composition streams (bijections) share.
 """
 
 from __future__ import annotations
@@ -230,8 +230,9 @@ def contains_pattern(w: Sequence[int], pattern: Sequence[int]) -> bool:
 # ---------------------------------------------------------------------------
 # word families
 #
-# Fixed-length families stream in lexicographic order with 1 < 2 < ...;
-# variable-length families stream shortest first, then lexicographically.
+# Fixed-length families stream in lexicographic order with 1 < 2 < ...
+# (avoiders alone follows its generating tree); variable-length families
+# stream shortest first, then lexicographically.
 # No family recurses, so word length is bounded only by memory.
 
 
@@ -412,3 +413,51 @@ def pattern_class(n: int, patterns: Iterable[Sequence[int]]) -> Iterator[Word]:
     """Permutations of 1..n avoiding every listed pattern, lexicographically."""
     pats = [as_word(p) for p in patterns]
     return (perm for perm in symmetric_group(n) if not any(contains_pattern(perm, p) for p in pats))
+
+
+def _shape(w: Sequence[int]) -> Word:
+    """Positions of w's letters in increasing order of letter; two words of
+    distinct letters are order-isomorphic iff their shapes agree."""
+    return tuple(sorted(range(len(w)), key=w.__getitem__))
+
+
+def avoiders(n: int, patterns: Iterable[Sequence[int]]) -> Iterator[Word]:
+    """The permutations of 1..n avoiding every listed pattern, in
+    generating-tree order (not lexicographic; pattern_class is).
+
+    Deleting the maximum keeps a permutation avoiding, so every avoider
+    of length k comes from exactly one avoider of length k-1 by inserting
+    k (West, Discrete Math. 146, 1995).  The walk inserts k only where it
+    completes no occurrence, and an occurrence it completes must run
+    through k in the place of the pattern's own maximum, so only the
+    letters around that place are examined.
+    """
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
+    pats = [as_word(p) for p in patterns]
+    if any(sorted(p) != list(range(1, len(p) + 1)) for p in pats):
+        raise ValueError("pattern must be a permutation of 1..k")
+    if () in pats:
+        return iter(())  # every permutation contains the empty pattern
+    rules = []  # per pattern: letters left and right of its maximum, shape of the rest
+    for p in pats:
+        j = p.index(len(p))
+        rules.append((j, len(p) - 1 - j, _shape(p[:j] + p[j + 1 :])))
+
+    def completes(perm, i):
+        return any(
+            _shape(left + right) == shape
+            for j, rest, shape in rules
+            for left in itertools.combinations(perm[:i], j)
+            for right in itertools.combinations(perm[i:], rest)
+        )
+
+    def branches(perm):
+        if len(perm) == n:
+            return None
+        top = (len(perm) + 1,)
+        return (
+            (i, perm[:i] + top + perm[i:]) for i in range(len(perm) + 1) if not completes(perm, i)
+        )
+
+    return (perm for _, perm in walk((), branches))

@@ -10,9 +10,10 @@ from mahonian.foata import (
     foata_binary,
     foata_inverse,
     foata_inverse_binary,
+    foata_peel,
     foata_step,
     foata_trace,
-    foata_words,
+    foata_tree,
     render_trace,
 )
 from mahonian.words import format_word, inv, maj, parse_word
@@ -111,23 +112,22 @@ def test_foata_is_fold_of_step(v):
 
 
 @pytest.mark.parametrize("alphabet", [(1, 2), (1, 2, 3), (1, 3, 7)])
-def test_foata_words_is_product_order(alphabet):
-    for n in range(8):
-        expected = [(v, foata(v)) for v in itertools.product(alphabet, repeat=n)]
-        assert list(foata_words(alphabet, n)) == expected
+def test_foata_tree_is_lexicographic_preorder(alphabet):
+    expected = sorted(v for n in range(8) for v in itertools.product(alphabet, repeat=n))
+    assert list(foata_tree(alphabet, 7)) == [(v, foata(v)) for v in expected]
 
 
-def test_foata_words_edges():
-    assert list(foata_words((1, 2), 0)) == [((), ())]
-    assert list(foata_words((), 0)) == [((), ())]
-    assert list(foata_words((), 3)) == []
+def test_foata_tree_edges():
+    assert list(foata_tree((1, 2), 0)) == [((), ())]
+    assert list(foata_tree((), 0)) == [((), ())]
+    assert list(foata_tree((), 3)) == [((), ())]
     with pytest.raises(ValueError):
-        foata_words((1, 2), -1)
+        foata_tree((1, 2), -1)
     with pytest.raises(ValueError):
-        foata_words((0, 1), 2)
+        foata_tree((0, 1), 2)
 
 
-def test_foata_words_raises_where_the_fold_does(monkeypatch):
+def test_foata_tree_raises_where_the_fold_does(monkeypatch):
     F = sys.modules["mahonian.foata"]
     real_step = F.foata_step
 
@@ -139,15 +139,30 @@ def test_foata_words_raises_where_the_fold_does(monkeypatch):
     monkeypatch.setattr(F, "foata_step", step)
     seen = []
     with pytest.raises(ArithmeticError):
-        for v, _ in foata_words((1, 2), 3):
+        for v, _ in foata_tree((1, 2), 3):
             seen.append(v)
-    assert seen == [(1, 1, 1), (1, 1, 2)]
+    # folding the words in the same order first raises at (1, 2)
+    assert seen == [(), (1,), (1, 1), (1, 1, 1), (1, 1, 2)]
 
 
-def test_foata_words_deeper_than_the_recursion_limit():
+def test_foata_tree_deeper_than_the_recursion_limit():
     n = sys.getrecursionlimit() + 50
-    v, w = next(foata_words((1, 2), n))
+    stream = foata_tree((1, 2), n)
+    for v, w in stream:
+        if len(v) == n:
+            break
     assert v == w == (1,) * n
+    assert next(stream) == ((1,) * (n - 1) + (2,), (1,) * (n - 1) + (2,))
+
+
+@given(words, st.integers(min_value=1, max_value=6))
+def test_peel_undoes_step(w, a):
+    assert foata_peel(foata_step(w, a)) == (w, a)
+
+
+def test_peel_of_the_empty_word():
+    with pytest.raises(ValueError):
+        foata_peel(())
 
 
 @given(long_words)

@@ -1,5 +1,6 @@
 import inspect
 import json
+import sys
 
 import pytest
 
@@ -164,3 +165,59 @@ def test_round_trips_catch_broken_inverses_and_collisions(monkeypatch):
         report = run_check("ballot-split", profile="quick")
     assert report.verdict == "fail"
     assert report.witness == "ballot_unsplit does not undo the split of 121122"
+
+
+def test_tree_checks_catch_a_broken_peel_and_a_lost_avoider(monkeypatch):
+    """foata-roundtrip and foata-binary-forms peel every edge of the prefix
+    tree, so one wrong edge fails both; pattern-pairs holds each grown
+    class against the n! filter, so a lost avoider fails it."""
+    from mahonian import verify
+
+    peel, grow = verify.foata_peel, verify.W.avoiders
+
+    def broken_peel(w):
+        u, a = peel(w)
+        return (u[::-1], a) if w == (2, 1, 1, 1, 1) else (u, a)  # the edge 1112 -> 11121
+
+    with monkeypatch.context() as m:
+        m.setattr(verify, "foata_peel", broken_peel)
+        roundtrip = run_check("foata-roundtrip", profile="quick")
+        forms = run_check("foata-binary-forms", profile="quick")
+    assert (roundtrip.verdict, roundtrip.witness) == ("fail", "v=11121")
+    assert (forms.verdict, forms.witness) == ("fail", "peel differs at w=21111")
+
+    def losing_one(n, patterns):
+        grown = list(grow(n, patterns))
+        return grown[1:] if n == 4 else grown
+
+    with monkeypatch.context() as m:
+        m.setattr(verify.W, "avoiders", losing_one)
+        report = run_check("pattern-pairs", profile="quick")
+    assert report.verdict == "fail"
+    assert report.witness == "n=4, Av{132,213}: 4321 is in the right set only"
+
+
+def test_tree_checks_step_once_per_edge_and_never_invert(monkeypatch):
+    """maj-inv-foata steps each edge of its two prefix trees once
+    (2^11 - 2 binary and (3^7 - 3) / 2 ternary edges at quick), and
+    foata-roundtrip peels edges instead of inverting whole words."""
+    from mahonian import verify
+
+    F = sys.modules["mahonian.foata"]
+    calls = {"foata_step": 0, "foata_inverse": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(F, "foata_step", counting("foata_step", F.foata_step))
+    inverse = counting("foata_inverse", F.foata_inverse)
+    for module in (F, verify):
+        monkeypatch.setattr(module, "foata_inverse", inverse)
+    assert run_check("maj-inv-foata", profile="quick").passed
+    assert calls["foata_step"] == 3138 == 2046 + 1092
+    assert run_check("foata-roundtrip", profile="quick").passed
+    assert calls["foata_inverse"] == 0

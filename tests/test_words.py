@@ -13,6 +13,7 @@ from mahonian.partitions import (
 )
 from mahonian.words import (
     as_word,
+    avoiders,
     ballot_suffix_words,
     ballot_words,
     contains_pattern,
@@ -191,6 +192,38 @@ def test_avoidance_counts():
     # every length-3 pattern class has Catalan-many avoiders
     for pat in itertools.permutations((1, 2, 3)):
         assert sum(1 for _ in pattern_class(4, [pat])) == 14
+
+
+_LENGTH_THREE = list(itertools.permutations((1, 2, 3)))
+
+
+@pytest.mark.parametrize(
+    "patterns",
+    [[p] for p in _LENGTH_THREE]
+    + [list(pair) for pair in itertools.combinations(_LENGTH_THREE, 2)]
+    + [[(2, 4, 1, 3)]],
+    ids=lambda pats: ",".join(format_word(p) for p in pats),
+)
+def test_avoiders_grow_the_filtered_class(patterns):
+    for n in range(7):
+        grown = list(avoiders(n, patterns))
+        assert len(grown) == len(set(grown))
+        assert set(grown) == set(pattern_class(n, patterns))
+
+
+def test_avoiders_edge_patterns():
+    assert list(avoiders(0, [(1,)])) == [()]
+    assert list(avoiders(3, [(1,)])) == []
+    assert list(avoiders(2, [()])) == []
+    assert sorted(avoiders(3, [])) == list(symmetric_group(3))
+    with pytest.raises(ValueError):
+        avoiders(-1, [(1, 2)])
+    with pytest.raises(ValueError):
+        avoiders(3, [(1, 3)])
+    with pytest.raises(ValueError):
+        avoiders(3, [(0, 1)])
+    with pytest.raises(ValueError):
+        avoiders(3, [(), (1, 3)])
 
 
 def _no_repeat(w, letter):
