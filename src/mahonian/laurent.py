@@ -9,6 +9,18 @@ a polynomial is false exactly when it is zero.
 
 Polynomials are written out by str() and to_json() and are never parsed
 back: build them from the constants Q, T, Z, S, ONE and monomial().
+
+Every operation is generic in the four variables, since the checks and
+the benchmark read them as oracles for the q-only recurrences:
+
+- products add unpacked exponent 4-tuples term by term, and powers are
+  left-to-right binary powering;
+- divide_exact eliminates leading terms in lexicographic order, each
+  step cancelling the current lead exactly, so every quotient term is
+  written once;
+- substitute groups the terms by their exponents in the mapped
+  variables, tables each target's powers once, and makes one product
+  per group, summed into a single dict.
 """
 
 from __future__ import annotations
@@ -118,6 +130,12 @@ class Laurent:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Laurent":
+        """self**n by left-to-right binary powering.
+
+        From self (the top bit of n), each lower bit squares, and a set
+        bit then multiplies by self, so p**2 is one product and p**8
+        three.  A negative power exists only for a unit monomial.
+        """
         if n < 0:
             # only unit monomials are invertible over the integers
             if len(self._terms) != 1:
@@ -127,13 +145,13 @@ class Laurent:
                 raise ValueError("negative power needs coefficient +-1")
             inv = Laurent({tuple(-x for x in e): c})
             return inv ** (-n)
-        result = Laurent.const(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
+        if n == 0:
+            return Laurent.const(1)
+        result = self
+        for bit in bin(n)[3:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     # -- division and substitution ------------------------------------------
@@ -141,66 +159,86 @@ class Laurent:
     def divide_exact(self, divisor: "Laurent") -> "Laurent":
         """Quotient self/divisor, which must be exact.
 
-        Repeated leading-term elimination in lexicographic order; a
-        nonzero remainder raises ExactDivisionError.  Valuation bounds
-        per variable detect inexact division instead of diverging.
+        Repeated leading-term elimination in lexicographic order: each
+        step subtracts qc*x^qe*divisor, which cancels the remainder's
+        leading term exactly, so the leads strictly decrease and every
+        quotient term is written once.  A nonzero remainder raises
+        ExactDivisionError; so does a quotient exponent outside the
+        per-variable valuation bounds, which stops an inexact division
+        instead of letting it diverge.
         """
         if not divisor:
             raise ZeroDivisionError("division by the zero polynomial")
         if not self:
             return Laurent()
-        lo = tuple(
+        lo0, lo1, lo2, lo3 = (
             min(e[i] for e in self._terms) - min(e[i] for e in divisor._terms)
             for i in range(_NVARS)
         )
-        hi = tuple(
+        hi0, hi1, hi2, hi3 = (
             max(e[i] for e in self._terms) - max(e[i] for e in divisor._terms)
             for i in range(_NVARS)
         )
-        dlead = max(divisor._terms)
+        d0, d1, d2, d3 = dlead = max(divisor._terms)
         dcoef = divisor._terms[dlead]
+        rest = [(*e, c) for e, c in divisor._terms.items() if e != dlead]
         rem = dict(self._terms)
         quo: dict[tuple[int, ...], int] = {}
         while rem:
-            rlead = max(rem)
-            qc, leftover = divmod(rem[rlead], dcoef)
-            if leftover:
+            r0, r1, r2, r3 = rlead = max(rem)
+            qc, leftover = divmod(rem.pop(rlead), dcoef)
+            q0, q1, q2, q3 = r0 - d0, r1 - d1, r2 - d2, r3 - d3
+            if leftover or not (
+                lo0 <= q0 <= hi0 and lo1 <= q1 <= hi1 and lo2 <= q2 <= hi2 and lo3 <= q3 <= hi3
+            ):
                 raise ExactDivisionError(f"nonzero remainder dividing {self} by {divisor}")
-            qe = tuple(a - b for a, b in zip(rlead, dlead))
-            if any(qe[i] < lo[i] or qe[i] > hi[i] for i in range(_NVARS)):
-                raise ExactDivisionError(f"nonzero remainder dividing {self} by {divisor}")
-            quo[qe] = quo.get(qe, 0) + qc
-            for e, c in divisor._terms.items():
-                key = tuple(a + b for a, b in zip(qe, e))
+            quo[q0, q1, q2, q3] = qc
+            for e0, e1, e2, e3, c in rest:
+                key = (q0 + e0, q1 + e1, q2 + e2, q3 + e3)
                 nc = rem.get(key, 0) - qc * c
                 if nc:
                     rem[key] = nc
                 else:
-                    rem.pop(key, None)
-        return Laurent._of({e: c for e, c in quo.items() if c})
+                    del rem[key]
+        return Laurent._of(quo)
 
     def substitute(self, mapping: Mapping[str, "Laurent"]) -> "Laurent":
         """Simultaneous substitution of polynomials for variables.
 
+        The terms are grouped by the exponents they carry in the mapped
+        variables, leaving one residual polynomial in the other variables
+        per group.  Each target's powers are tabled once, by successive
+        products up to the largest exponent in use (and by powers of
+        target**-1 below zero), and each group is one product of its
+        residual with its table entries, summed into a single dict.
+
         A variable occurring with negative exponents may only receive a
         unit monomial (otherwise the result is not a Laurent polynomial).
         """
-        idx = {name: VARS.index(name) for name in mapping}
-        powers: dict[tuple[str, int], Laurent] = {}
-        result = Laurent()
+        mapped = [VARS.index(name) for name in mapping]
+        groups: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
         for e, c in self._terms.items():
-            residual = tuple(0 if VARS[i] in mapping else e[i] for i in range(_NVARS))
-            term = Laurent({residual: c})
-            for name, target in mapping.items():
-                k = e[idx[name]]
-                if k == 0:
-                    continue
-                key = (name, k)
-                if key not in powers:
-                    powers[key] = target**k
-                term = term * powers[key]
-            result = result + term
-        return result
+            residual = list(e)
+            for i in mapped:
+                residual[i] = 0
+            groups.setdefault(tuple([e[i] for i in mapped]), {})[tuple(residual)] = c
+        tables = [
+            _power_table(target, [ks[j] for ks in groups])
+            for j, target in enumerate(mapping.values())
+        ]
+        out: dict[tuple[int, ...], int] = {}
+        for ks, residual in groups.items():
+            term = Laurent._of(residual)
+            for table, k in zip(tables, ks):
+                if k:
+                    term = term * table[k]
+            for e, c in term._terms.items():
+                nc = out.get(e, 0) + c
+                if nc:
+                    out[e] = nc
+                else:
+                    del out[e]
+        return Laurent._of(out)
 
     # -- queries -------------------------------------------------------------
 
@@ -244,6 +282,25 @@ class Laurent:
         return [
             {"exponents": list(e), "coeff": self._terms[e]} for e in sorted(self._terms)
         ]
+
+
+def _power_table(target: Laurent, exponents: list[int]) -> dict[int, Laurent]:
+    """target**k for every nonzero k between the least and the largest of
+    the exponents, by successive products (with target**-1 below zero,
+    which exists only for a unit monomial)."""
+    lo, hi = min(exponents, default=0), max(exponents, default=0)
+    table = {}
+    power = ONE
+    for k in range(1, hi + 1):
+        power = power * target
+        table[k] = power
+    if lo < 0:
+        inverse = target**-1
+        power = ONE
+        for k in range(-1, lo - 1, -1):
+            power = power * inverse
+            table[k] = power
+    return table
 
 
 def monomial(coeff: int = 1, q: int = 0, t: int = 0, z: int = 0, s: int = 0) -> Laurent:

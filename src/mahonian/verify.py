@@ -42,8 +42,8 @@ Some checks walk a generating tree instead of enumerating each size anew:
   parent's image; foata_inverse is the fold of foata_peel, so that is the
   round trip for every word by induction on length.
 - pattern-pairs grows its classes by inserting the maximum
-  (words.avoiders) and holds each against the n! filter pattern_class
-  up to n = 5.
+  (words.avoiders) and holds each against pattern_class, a lexicographic
+  prefix walk that drops every prefix containing a pattern, up to n = 5.
 """
 
 from __future__ import annotations
@@ -1193,7 +1193,7 @@ def _chk_pattern_pairs(max_n):
         classes = {}
         for pats in dict.fromkeys(_PATTERN_MAJ_SETS + _PATTERN_INV_SETS):
             classes[pats] = list(W.avoiders(n, pats))
-            if n <= 5:  # the n! filter as the oracle for the generating tree
+            if n <= 5:  # the pruned prefix walk as the oracle for the insertion tree
                 oracle = set(W.pattern_class(n, pats))
                 _check_sets(set(classes[pats]), oracle, W.format_word, f"n={n}, Av{fmt(pats)}")
         majd = [(pats, G.distribution(classes[pats], {"q": W.maj})) for pats in _PATTERN_MAJ_SETS]

@@ -6,8 +6,9 @@ index is a sum of positions, so the convention matters).
 
 The word families are loops, never recursions: rearrangements step by
 Algorithm L, and the ballot, Fibonacci and letter-sum families are the
-leaves of a prefix tree visited by walk, which the pattern classes grown
-by insertion (avoiders) and the composition streams (bijections) share.
+leaves of a prefix tree visited by walk, which the pattern classes (grown
+by insertion in avoiders, by pruned prefixes in pattern_class) and the
+composition streams (bijections) share.
 """
 
 from __future__ import annotations
@@ -410,9 +411,53 @@ def symmetric_group(n: int) -> Iterator[Word]:
 
 
 def pattern_class(n: int, patterns: Iterable[Sequence[int]]) -> Iterator[Word]:
-    """Permutations of 1..n avoiding every listed pattern, lexicographically."""
+    """Permutations of 1..n avoiding every listed pattern, lexicographically.
+
+    A prefix walk that prunes: a prefix containing a listed pattern is
+    dropped with its whole subtree, since every extension contains it
+    too.  The parent prefix already avoids every pattern, so only the
+    occurrences ending at the new letter are examined.  This is the
+    filter route that avoiders is held against, so it shares none of
+    avoiders' insertion tree.
+    """
+    pats = _permutation_patterns(n, patterns)
+    if () in pats:
+        return iter(())  # every permutation contains the empty pattern
+    # per pattern: letters before its last, how many of them lie below
+    # it, and its shape
+    ends = [(len(p) - 1, p[-1] - 1, _shape(p)) for p in pats]
+
+    def ends_occurrence(prefix, a):
+        below = sum(1 for b in prefix if b < a)
+        return any(
+            _shape(head + (a,)) == shape
+            for k, low, shape in ends
+            if low <= below and k - low <= len(prefix) - below
+            for head in itertools.combinations(prefix, k)
+        )
+
+    def branches(state):
+        prefix, left = state
+        if not left:
+            return None
+        return (
+            (a, (prefix + (a,), left[:i] + left[i + 1 :]))
+            for i, a in enumerate(left)
+            if not ends_occurrence(prefix, a)
+        )
+
+    return (perm for _, (perm, _) in walk(((), tuple(range(1, n + 1))), branches))
+
+
+def _permutation_patterns(n: int, patterns: Iterable[Sequence[int]]) -> list[Word]:
+    """The patterns as words, each checked to be a permutation of 1..k,
+    for permutations of a nonnegative length n."""
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
     pats = [as_word(p) for p in patterns]
-    return (perm for perm in symmetric_group(n) if not any(contains_pattern(perm, p) for p in pats))
+    if any(sorted(p) != list(range(1, len(p) + 1)) for p in pats):
+        raise ValueError("pattern must be a permutation of 1..k")
+    return pats
 
 
 def _shape(w: Sequence[int]) -> Word:
@@ -432,11 +477,7 @@ def avoiders(n: int, patterns: Iterable[Sequence[int]]) -> Iterator[Word]:
     through k in the place of the pattern's own maximum, so only the
     letters around that place are examined.
     """
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    pats = [as_word(p) for p in patterns]
-    if any(sorted(p) != list(range(1, len(p) + 1)) for p in pats):
-        raise ValueError("pattern must be a permutation of 1..k")
+    pats = _permutation_patterns(n, patterns)
     if () in pats:
         return iter(())  # every permutation contains the empty pattern
     rules = []  # per pattern: letters left and right of its maximum, shape of the rest

@@ -6,6 +6,7 @@ from mahonian.laurent import (
     Q,
     S,
     T,
+    VARS,
     ZERO,
     ExactDivisionError,
     Laurent,
@@ -15,6 +16,15 @@ from mahonian.laurent import (
 exponents = st.tuples(*[st.integers(min_value=-3, max_value=3)] * 4)
 coeffs = st.integers(min_value=-9, max_value=9).filter(bool)
 polys = st.dictionaries(exponents, coeffs, max_size=6).map(Laurent)
+# substitution targets: few terms, so that their powers stay small
+targets = st.dictionaries(exponents, coeffs, max_size=3).map(Laurent)
+# the invertible targets, +-q^a*t^b
+unit_monomials = st.builds(
+    lambda c, a, b: monomial(c, q=a, t=b),
+    st.sampled_from((1, -1)),
+    st.integers(min_value=-2, max_value=2),
+    st.integers(min_value=-2, max_value=2),
+)
 
 
 def test_basic_arithmetic():
@@ -47,6 +57,91 @@ def test_substitute_examples():
     assert (S**2).substitute({"s": ONE + Q}) == ONE + 2 * Q + Q**2
     with pytest.raises(ValueError):
         (S**-1).substitute({"s": ONE + Q})
+
+
+def test_power_multiplies_as_little_as_binary_powering(monkeypatch):
+    calls = []
+    mul = Laurent.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    p = ONE + 2 * Q - T
+    monkeypatch.setattr(Laurent, "__mul__", counting)
+    for n, products in ((0, 0), (1, 0), (2, 1), (3, 2), (8, 3)):
+        calls.clear()
+        p**n
+        assert len(calls) == products, n
+
+
+@given(polys)
+@settings(max_examples=30)
+def test_power_is_the_repeated_product(p):
+    product = ONE
+    for n in range(10):
+        assert p**n == product
+        product = product * p
+
+
+def _expand(p, mapping):
+    """p with the mapping applied one term at a time: the term's own
+    monomial in the unmapped variables times each target's power."""
+    total = ZERO
+    for e, c in p.terms.items():
+        term = monomial(c, **{name: k for name, k in zip(VARS, e) if name not in mapping})
+        for name, target in mapping.items():
+            k = e[VARS.index(name)]
+            for _ in range(k):
+                term = term * target
+            for _ in range(-k):
+                term = term * target**-1
+        total = total + term
+    return total
+
+
+def _mapping(data, *polys_in_use):
+    """A substitution for some of the variables: a general target where
+    every polynomial in use has no negative exponent in the variable, and
+    otherwise a unit monomial."""
+    mapping = {}
+    for i, name in enumerate(VARS):
+        if data.draw(st.booleans()):
+            nonnegative = all(e[i] >= 0 for p in polys_in_use for e in p.terms)
+            mapping[name] = data.draw(targets if nonnegative else unit_monomials)
+    return mapping
+
+
+@given(polys, st.data())
+@settings(max_examples=60)
+def test_substitute_is_the_termwise_expansion(p, data):
+    mapping = _mapping(data, p)
+    assert p.substitute(mapping) == _expand(p, mapping)
+
+
+@given(polys, polys, st.data())
+@settings(max_examples=60)
+def test_substitute_is_a_ring_homomorphism(a, b, data):
+    mapping = _mapping(data, a, b)
+    sa, sb = a.substitute(mapping), b.substitute(mapping)
+    assert (a + b).substitute(mapping) == sa + sb
+    assert (a * b).substitute(mapping) == sa * sb
+    assert (-a).substitute(mapping) == -sa
+    assert ONE.substitute(mapping) == ONE
+
+
+def test_substitute_edge_cases():
+    p = ONE + Q - monomial(3, q=2, t=-1)
+    assert ZERO.substitute({"q": ONE + T}) == ZERO
+    assert ZERO.substitute({}) == ZERO
+    assert p.substitute({}) == p
+    # mapped variables the polynomial lacks, even to a non-invertible target
+    assert p.substitute({"s": ONE + Q, "z": ZERO}) == p
+    assert p.substitute({"s": ONE + Q, "t": ONE}) == ONE + Q - monomial(3, q=2)
+    with pytest.raises(ValueError):
+        p.substitute({"t": ONE + Q})
+    with pytest.raises(ValueError):
+        p.substitute({"x": Q})
 
 
 def test_divide_exact():
@@ -91,6 +186,19 @@ def test_multiply_divide_roundtrip(a, b):
     if not b:
         return
     assert (a * b).divide_exact(b) == a
+
+
+@given(polys, polys, polys)
+@settings(max_examples=60)
+def test_divide_exact_is_exact_or_refuses(a, b, r):
+    if not b:
+        return
+    dividend = a * b + r
+    try:
+        quotient = dividend.divide_exact(b)
+    except ExactDivisionError:
+        return
+    assert quotient * b == dividend
 
 
 def test_truncate_and_queries():

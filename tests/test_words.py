@@ -194,6 +194,26 @@ def test_avoidance_counts():
         assert sum(1 for _ in pattern_class(4, [pat])) == 14
 
 
+@pytest.mark.parametrize(
+    "patterns",
+    [[(1,)], [(2, 1)], [(1, 3, 2)], [(1, 2, 3), (3, 2, 1)], [(2, 4, 1, 3), (3, 1, 4, 2)], [(1, 2, 3, 4)], []],
+    ids=lambda pats: ",".join(format_word(p) for p in pats) or "none",
+)
+def test_pattern_class_is_the_ordered_filter(patterns):
+    for n in range(7):
+        kept = [w for w in symmetric_group(n) if not any(contains_pattern(w, p) for p in patterns)]
+        assert list(pattern_class(n, patterns)) == kept
+
+
+def test_pattern_class_prunes_an_empty_class():
+    # Erdős–Szekeres: every permutation of length 5 contains 123 or 321,
+    # so the walk dies at depth 5 instead of filtering 12! permutations
+    assert list(pattern_class(12, [(1, 2, 3), (3, 2, 1)])) == []
+    assert list(pattern_class(3, [()])) == []
+    with pytest.raises(ValueError, match="^pattern must be a permutation of 1..k$"):
+        pattern_class(3, [(1,), (1, 3)])
+
+
 _LENGTH_THREE = list(itertools.permutations((1, 2, 3)))
 
 
