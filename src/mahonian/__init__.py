@@ -70,7 +70,6 @@ from .verify import CHECKS, Counterexample, PairReport, check_mahonian_pair, run
 from .words import (
     avoiders,
     ballot_words,
-    contains_pattern,
     des,
     descent_set,
     exc,

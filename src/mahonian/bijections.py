@@ -57,18 +57,19 @@ def ballot_unsplit(x: Sequence[int], y: Sequence[int]) -> Word:
 # composition encodings of ballot words
 
 
+def _suffix_sums_reach(comp: Sequence[int], slack: int) -> bool:
+    """True iff, for i = 1..d, the last i entries of (c_0..c_d) sum to at
+    least 2i - slack: slack 0 for one's, 1 for two's compositions."""
+    sums = itertools.accumulate(reversed(comp[1:]))
+    return all(acc >= 2 * i - slack for i, acc in enumerate(sums, start=1))
+
+
 def is_ones_composition(comp: Sequence[int]) -> bool:
     """Membership in the one's-composition family: first entry >= 0, the
     rest positive, and every suffix sum of length i at least 2i."""
     if not comp or comp[0] < 0 or any(c < 1 for c in comp[1:]):
         return False
-    d = len(comp) - 1
-    acc = 0
-    for i in range(1, d + 1):
-        acc += comp[d - i + 1]
-        if acc < 2 * i:
-            return False
-    return True
+    return _suffix_sums_reach(comp, 0)
 
 
 def is_twos_composition(comp: Sequence[int]) -> bool:
@@ -76,13 +77,7 @@ def is_twos_composition(comp: Sequence[int]) -> bool:
     rest positive, and every suffix sum of length i at least 2i - 1."""
     if not comp or comp[-1] < 0 or any(c < 1 for c in comp[:-1]):
         return False
-    d = len(comp) - 1
-    acc = 0
-    for i in range(1, d + 1):
-        acc += comp[d - i + 1]
-        if acc < 2 * i - 1:
-            return False
-    return True
+    return _suffix_sums_reach(comp, 1)
 
 
 def _compositions(total: int, mins: Sequence[int]) -> Iterator[tuple[int, ...]]:
@@ -111,18 +106,21 @@ def twos_compositions(n: int, d: int) -> Iterator[tuple[int, ...]]:
     return (c for c in _compositions(n, mins) if is_twos_composition(c))
 
 
+def _runs_of_ones(runs: Sequence[int]) -> Word:
+    """The word 1^r0 2 1^r1 2 ... 2 1^rk: runs of ones separated by
+    single twos."""
+    out = [1] * runs[0]
+    for r in runs[1:]:
+        out += [2] + [1] * r
+    return tuple(out)
+
+
 def ones_composition_word(comp: Sequence[int]) -> Word:
     """Encode (w_0..w_d) as the ballot word 1^(wd-1) 2 1^(w(d-1)-1) 2 ... 1^w0."""
     comp = tuple(comp)
     if not is_ones_composition(comp):
         raise ValueError(f"not a valid one's composition: {comp}")
-    d = len(comp) - 1
-    out: list[int] = []
-    for i in range(d, 0, -1):
-        out.extend([1] * (comp[i] - 1))
-        out.append(2)
-    out.extend([1] * comp[0])
-    return tuple(out)
+    return _runs_of_ones([c - 1 for c in reversed(comp[1:])] + [comp[0]])
 
 
 def twos_composition_word(comp: Sequence[int]) -> Word:
@@ -130,12 +128,7 @@ def twos_composition_word(comp: Sequence[int]) -> Word:
     comp = tuple(comp)
     if not is_twos_composition(comp):
         raise ValueError(f"not a valid two's composition: {comp}")
-    d = len(comp) - 1
-    out: list[int] = [1] * comp[d]
-    for i in range(d - 1, -1, -1):
-        out.append(2)
-        out.extend([1] * (comp[i] - 1))
-    return tuple(out)
+    return _runs_of_ones([comp[-1]] + [c - 1 for c in reversed(comp[:-1])])
 
 
 # ---------------------------------------------------------------------------

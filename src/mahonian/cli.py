@@ -211,10 +211,8 @@ def _cmd_genfun(args) -> int:
 
 
 def _int_bounds() -> list[str]:
-    """Bound names offered as flags: those whose profile values are integers."""
-    return sorted(
-        {k for d in CHECKS.values() for k, v in {**d.quick, **d.full}.items() if isinstance(v, int)}
-    )
+    """Bound names offered as flags: every check's bounds, all integers."""
+    return sorted({k for d in CHECKS.values() for k in d.bounds})
 
 
 def _cmd_verify(args) -> int:

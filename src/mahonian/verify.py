@@ -107,7 +107,6 @@ class PairReport:
 
 @dataclass(frozen=True)
 class CheckDef:
-    name: str
     doc: str
     fn: object
     quick: dict
@@ -125,7 +124,7 @@ CHECKS: dict[str, CheckDef] = {}
 
 def _register(name, doc, quick, full, established=True):
     def deco(fn):
-        CHECKS[name] = CheckDef(name, doc, fn, quick, full, established)
+        CHECKS[name] = CheckDef(doc, fn, quick, full, established)
         return fn
 
     return deco
@@ -370,7 +369,7 @@ def _chk_maj_des_durfee(max_len):
 def _chk_excess_pairing(max_n):
     for n in range(max_n + 1):
         for w in W.permutations_of((1,) * n + (2,) * n):
-            _, e, p = W.excess_profile(w)
+            e, p = W.excess_profile(w)[1], len(W.match_pairs(w)[0])
             if e != n - p:
                 raise Counterexample(f"w={W.format_word(w)}: e={e}, pairs={p}")
             if W.is_ballot(w) != (e <= 0):
@@ -389,7 +388,7 @@ def _chk_excess_rank(max_len):
         lam = P.partition_of_word(w)
         rho = P.ranks(lam)
         d = P.durfee(lam)
-        evec, e, _ = W.excess_profile(v)
+        evec, e = W.excess_profile(v)
         if W.des(v) != d:
             raise Counterexample(f"descents differ at v={W.format_word(v)}")
         for i in range(d):
@@ -935,21 +934,25 @@ def _chk_rank_positive(degree):
             raise Counterexample(f"conjugation mismatch at n={n}")
 
 
+# (M, r) of each sieve: M = 5 gives the two Rogers-Ramanujan products
+_RANK_INTERVAL_CASES = ((5, 1), (5, 2), (7, 1), (7, 2), (7, 3))
+
+
 @_register(
     "rank-interval-sieve",
     "partitions with ranks in [-r+2, M-r-2] are equinumerous with "
     "partitions with no part divisible by or congruent to +-r mod M; "
     "specializing M = n+2, r = 1 recovers the no-part-one sieve",
-    quick={"degree": 12, "cases": ((5, 1), (5, 2))},
-    full={"degree": 20, "cases": ((5, 1), (5, 2), (7, 1), (7, 2), (7, 3))},
+    quick={"degree": 12},
+    full={"degree": 20},
 )
-def _chk_rank_interval(degree, cases):
+def _chk_rank_interval(degree):
     # one pass over the partitions of each n reads ranks(p) once and counts
     # every case; the counts are then compared in case order, n inner, and
     # the reduction case (ranks in [1, n-1] against no part one) last
     counts = []  # per n: each case's count, the reduction count, no-part-one
     for n in range(degree + 1):
-        intervals = [(-r + 2, modulus - r - 2) for modulus, r in cases] + [(1, n - 1)]
+        intervals = [(-r + 2, modulus - r - 2) for modulus, r in _RANK_INTERVAL_CASES] + [(1, n - 1)]
         row = [0] * (len(intervals) + 1)
         for p in P.partitions_of(n):
             rho = P.ranks(p)
@@ -957,7 +960,7 @@ def _chk_rank_interval(degree, cases):
                 row[j] += all(lo <= x <= hi for x in rho)
             row[-1] += (1 not in p)
         counts.append(row)
-    for j, (modulus, r) in enumerate(cases):
+    for j, (modulus, r) in enumerate(_RANK_INTERVAL_CASES):
         product = G.truncated_product(P.parts_off_residues(modulus, r, degree), degree)
         for n in range(degree + 1):
             a, b = counts[n][j], product.coefficient(q=n)
@@ -1239,7 +1242,7 @@ def run_check(name: str, bounds: dict | None = None, profile: str = "quick") -> 
     """Run one registered check at the profile's bounds, overridden by bounds.
 
     An unknown check or bound name raises KeyError; an unknown profile and
-    a negative integer bound raise ValueError.  A Counterexample from the
+    a negative bound raise ValueError.  A Counterexample from the
     check gives verdict "fail"; any other exception gives verdict "error",
     with the exception type and message as the witness.
     """
@@ -1248,7 +1251,7 @@ def run_check(name: str, bounds: dict | None = None, profile: str = "quick") -> 
     for key, value in (bounds or {}).items():
         if key not in defn.bounds:
             raise KeyError(f"check {name} has no bound {key!r}")
-        if isinstance(value, int) and value < 0:
+        if value < 0:
             raise ValueError(f"bound {key} must be nonnegative, got {value}")
     params = {**(defn.quick if profile == "quick" else defn.full), **(bounds or {})}
     verdict, witness = "pass", None

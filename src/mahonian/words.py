@@ -170,12 +170,12 @@ def match_pairs(w: Sequence[int]) -> tuple[tuple[tuple[int, int], ...], tuple[in
     return tuple(pairs), tuple(stack), tuple(un2)
 
 
-def excess_profile(w: Sequence[int]) -> tuple[tuple[int, ...], int, int]:
+def excess_profile(w: Sequence[int]) -> tuple[tuple[int, ...], int]:
     """Prefix excesses of twos over ones, block by block.
 
-    Returns (e_0..e_d, max excess, matched pair count) where e_i is the
-    two-excess of the prefix 1^m0 2^n0 ... 1^mi 2^ni.  For rearrangements
-    of 1^n 2^n the max equals n minus the pair count.
+    Returns (e_0..e_d, max excess) where e_i is the two-excess of the
+    prefix 1^m0 2^n0 ... 1^mi 2^ni.  For rearrangements of 1^n 2^n the
+    max equals n minus the pair count of match_pairs.
     """
     om, ta = ones_twos_compositions(w)
     ones_run = twos_run = 0
@@ -184,8 +184,7 @@ def excess_profile(w: Sequence[int]) -> tuple[tuple[int, ...], int, int]:
         ones_run += m
         twos_run += n
         evec.append(twos_run - ones_run)
-    pairs, _, _ = match_pairs(w)
-    return tuple(evec), max(evec), len(pairs)
+    return tuple(evec), max(evec)
 
 
 def run_decomposition(w: Sequence[int]) -> tuple[tuple[int, int, bool, bool], ...]:
@@ -199,33 +198,6 @@ def run_decomposition(w: Sequence[int]) -> tuple[tuple[int, int, bool, bool], ..
         runs.append((w[i], j - i, i == 0, j == n))
         i = j
     return tuple(runs)
-
-
-# ---------------------------------------------------------------------------
-# patterns
-
-
-def contains_pattern(w: Sequence[int], pattern: Sequence[int]) -> bool:
-    """True iff some subsequence of w is order-isomorphic to the pattern.
-
-    The pattern must be a permutation of 1..k; equal letters in w never
-    realize a strict inequality of the pattern.
-    """
-    k = len(pattern)
-    if sorted(pattern) != list(range(1, k + 1)):
-        raise ValueError("pattern must be a permutation of 1..k")
-    if k == 0:
-        return True
-    idx = range(k)
-    for combo in itertools.combinations(w, k):
-        if all(
-            (combo[a] < combo[b]) == (pattern[a] < pattern[b])
-            and (combo[a] > combo[b]) == (pattern[a] > pattern[b])
-            for a in idx
-            for b in range(a + 1, k)
-        ):
-            return True
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +369,8 @@ def suffix_words(suffix: Sequence[int], max_len: int) -> Iterator[Word]:
     v = as_word(suffix)
     require_binary(v)
     heads = (u for k in range(max_len - len(v) + 1) for u in itertools.product((1, 2), repeat=k))
-    return itertools.chain([()], (u + v for u in heads))
+    # an empty suffix ends every word, so its first head is the empty word
+    return itertools.chain([()] if v else [], (u + v for u in heads))
 
 
 def ballot_suffix_words(suffix: Sequence[int], max_len: int) -> Iterator[Word]:

@@ -90,10 +90,7 @@ def test_criterion_6_rank_and_chain_layer():
     start = time.perf_counter()
     ok = (
         run_check("rank-positive-sieve", bounds={"degree": 20}).passed
-        and run_check(
-            "rank-interval-sieve",
-            bounds={"degree": 20, "cases": ((5, 1), (5, 2), (7, 1), (7, 2), (7, 3))},
-        ).passed
+        and run_check("rank-interval-sieve", bounds={"degree": 20}).passed
         and run_check("infinite-pair-wslat", bounds={"max_len": 14}).passed
         and run_check("infinite-pair-images", bounds={"max_len": 14}).passed
         and run_check("csv-worked-example").passed

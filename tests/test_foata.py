@@ -127,6 +127,12 @@ def test_foata_tree_edges():
         foata_tree((0, 1), 2)
 
 
+def test_foata_tree_reads_its_alphabet_as_a_set():
+    assert list(foata_tree((2, 1), 2)) == list(foata_tree((1, 2), 2))
+    assert list(foata_tree((1, 1), 2)) == [((), ()), ((1,), (1,)), ((1, 1), (1, 1))]
+    assert list(foata_tree((3, 1, 3), 3)) == list(foata_tree((1, 3), 3))
+
+
 def test_foata_tree_raises_where_the_fold_does(monkeypatch):
     F = sys.modules["mahonian.foata"]
     real_step = F.foata_step

@@ -37,7 +37,7 @@ def test_unknown_bound():
 
 def test_unknown_profile(monkeypatch):
     runs = []
-    fake = CheckDef("synthetic-probe", "test-only recording check", lambda: runs.append(1), {}, {})
+    fake = CheckDef("test-only recording check", lambda: runs.append(1), {}, {})
     monkeypatch.setitem(CHECKS, "synthetic-probe", fake)
     with pytest.raises(ValueError, match="^profile must be quick or full, got 'fulll'$"):
         run_check("synthetic-probe", profile="fulll")
@@ -101,7 +101,7 @@ def test_error_verdict(monkeypatch):
     def raises():
         raise KeyError("synthetic")
 
-    fake = CheckDef("synthetic-error", "test-only raising check", raises, {}, {})
+    fake = CheckDef("test-only raising check", raises, {}, {})
     monkeypatch.setitem(CHECKS, "synthetic-error", fake)
     report = run_check("synthetic-error")
     assert report.verdict == "error"
@@ -124,15 +124,15 @@ def test_profile_bounds_are_parameters(name):
 
 @pytest.mark.parametrize("name", list(CHECKS))
 def test_every_legal_bound_gives_a_verdict(name):
-    """Each integer bound at 0..3 with the others at quick, and all of them
-    at 0 together, is a legal run: it must pass, not report a false witness
-    or an error."""
-    ints = [k for k, v in CHECKS[name].quick.items() if isinstance(v, int)]
-    for key in ints:
+    """Each bound at 0..3 with the others at quick, and all of them at 0
+    together, is a legal run: it must pass, not report a false witness or
+    an error."""
+    bounds = CHECKS[name].bounds
+    for key in bounds:
         for value in range(4):
             report = run_check(name, bounds={key: value}, profile="quick")
             assert report.verdict == "pass", f"{key}={value}: {report.witness}"
-    report = run_check(name, bounds=dict.fromkeys(ints, 0), profile="quick")
+    report = run_check(name, bounds=dict.fromkeys(bounds, 0), profile="quick")
     assert report.verdict == "pass", report.witness
 
 
@@ -221,3 +221,39 @@ def test_tree_checks_step_once_per_edge_and_never_invert(monkeypatch):
     assert calls["foata_step"] == 3138 == 2046 + 1092
     assert run_check("foata-roundtrip", profile="quick").passed
     assert calls["foata_inverse"] == 0
+
+
+def test_excess_checks_read_no_pairing(monkeypatch):
+    """excess_profile reads no pairing, so the two checks built on it make
+    no match_pairs call; excess-pairing reads the pair count from
+    match_pairs itself."""
+    W = sys.modules["mahonian.words"]
+    real = W.match_pairs
+    calls = []
+
+    def counted(w):
+        calls.append(w)
+        return real(w)
+
+    monkeypatch.setattr(W, "match_pairs", counted)
+    assert run_check("excess-rank-lemma", profile="quick").passed
+    assert run_check("infinite-pair-wslat", profile="quick").passed
+    assert calls == []
+    assert run_check("excess-pairing", profile="quick").passed
+    assert len(calls) == 1 + 2 + 6 + 20 + 70  # C(2n, n) words for n <= 4
+
+
+def test_excess_pairing_catches_a_lost_pair(monkeypatch):
+    """A pairing that drops its last pair fails excess-pairing at its first
+    pair; the excess-rank lemma does not read the pairing and still holds."""
+    W = sys.modules["mahonian.words"]
+    real = W.match_pairs
+
+    def losing_last(w):
+        pairs, un1, un2 = real(w)
+        return pairs[:-1], un1, un2
+
+    monkeypatch.setattr(W, "match_pairs", losing_last)
+    report = run_check("excess-pairing", profile="quick")
+    assert (report.verdict, report.witness) == ("fail", "w=12: e=0, pairs=0")
+    assert run_check("excess-rank-lemma", profile="quick").passed

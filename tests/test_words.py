@@ -16,7 +16,6 @@ from mahonian.words import (
     avoiders,
     ballot_suffix_words,
     ballot_words,
-    contains_pattern,
     des,
     descent_set,
     exc,
@@ -133,15 +132,14 @@ def test_is_ballot_examples():
 
 
 def test_excess_profile_examples():
-    evec, e, p = excess_profile(parse_word("1122"))
-    assert (e, p) == (0, 2)
-    assert excess_profile(parse_word("2211"))[1:] == (2, 0)
-    assert excess_profile(())[0] == (0,)
-    assert excess_profile(())[1] == 0
+    assert excess_profile(parse_word("1122")) == ((0,), 0)
+    assert excess_profile(parse_word("2211")) == ((2, 0), 2)
+    assert excess_profile(parse_word("22122112221121")) == ((2, 3, 4, 3, 2), 4)
+    assert excess_profile(()) == ((0,), 0)
     for n in range(6):
         for w in permutations_of((1,) * n + (2,) * n):
-            _, e, p = excess_profile(w)
-            assert e == n - p
+            _, e = excess_profile(w)
+            assert e == n - len(match_pairs(w)[0])
             assert is_ballot(w) == (e <= 0)
 
 
@@ -176,6 +174,30 @@ def test_compositions_roundtrip(v):
     om, ta = ones_twos_compositions(v)
     assert word_from_compositions(om, ta) == v
     assert len(om) == len(ta) == des(v) + 1
+
+
+def contains_pattern(w, pattern):
+    """True iff some subsequence of w is order-isomorphic to the pattern.
+
+    The pattern must be a permutation of 1..k; equal letters in w never
+    realize a strict inequality of the pattern.  The filter oracle that
+    pattern_class is held against.
+    """
+    k = len(pattern)
+    if sorted(pattern) != list(range(1, k + 1)):
+        raise ValueError("pattern must be a permutation of 1..k")
+    if k == 0:
+        return True
+    idx = range(k)
+    for combo in itertools.combinations(w, k):
+        if all(
+            (combo[a] < combo[b]) == (pattern[a] < pattern[b])
+            and (combo[a] > combo[b]) == (pattern[a] > pattern[b])
+            for a in idx
+            for b in range(a + 1, k)
+        ):
+            return True
+    return False
 
 
 def test_contains_pattern():
@@ -347,6 +369,14 @@ def test_suffix_words_require_cap():
     assert len(got) == 1 + 1 + 2 + 4  # lengths 2, 3, 4
     with pytest.raises(ValueError):
         list(suffix_words((2, 1), None))
+
+
+def test_empty_suffix_gives_each_binary_word_once():
+    every = [w for n in range(4) for w in itertools.product((1, 2), repeat=n)]
+    got = list(suffix_words((), 3))
+    assert got == every and len(got) == 15
+    assert list(ballot_suffix_words((), 3)) == [w for w in got if is_ballot(w)]
+    assert list(suffix_words((), 0)) == [()]
 
 
 @given(words)

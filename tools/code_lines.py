@@ -3,7 +3,8 @@
 A code line is a line holding a token that is not a comment or a
 docstring (blank lines, comment-only lines and docstring lines do not
 count).  An optional parameter is a default value, a *args or a **kwargs
-of a function or lambda.
+of a function or lambda.  The last line counts the names the package's
+__init__.py imports from its modules, its public API.
 
 Usage: python tools/code_lines.py [DIR]   (default: src/mahonian)
 """
@@ -62,6 +63,14 @@ def measure(path: Path) -> tuple[int, int]:
     return len(lines), _optional_parameters(tree)
 
 
+def exported_names(path: Path) -> int:
+    """Names a package's __init__.py imports from its own modules."""
+    tree = ast.parse(path.read_text())
+    return sum(
+        len(node.names) for node in tree.body if isinstance(node, ast.ImportFrom) and node.level
+    )
+
+
 def main(argv: list[str]) -> int:
     root = Path(argv[1] if len(argv) > 1 else "src/mahonian")
     total_lines = total_opts = 0
@@ -72,6 +81,9 @@ def main(argv: list[str]) -> int:
         total_opts += opts
         print(f"{path.name:<20} {n:>10} {opts:>9}")
     print(f"{'total':<20} {total_lines:>10} {total_opts:>9}")
+    init = root / "__init__.py"
+    if init.exists():
+        print(f"exported names: {exported_names(init)}")
     return 0
 
 
