@@ -12,6 +12,8 @@ checks and tests compare them with.
 
 from __future__ import annotations
 
+import itertools
+from collections import Counter
 from collections.abc import Callable, Iterable, Mapping
 
 from .laurent import ONE, VARS, ZERO, Laurent, monomial
@@ -25,17 +27,23 @@ def distribution(items: Iterable, stats: Mapping[str, Callable]) -> Laurent:
     """Generating polynomial sum over items of prod var^stat(item).
 
     stats maps variable names (q, t, z, s) to statistic callables; the
-    item stream must be finite.
+    item stream must be finite and is read once.  Each statistic maps over
+    its own copy of the stream (itertools.tee), so item by item the
+    statistics run in mapping order; Counter counts the tuples of values,
+    and each distinct tuple is written into its exponent vector once.
     """
-    cols = [(VARS.index(name), fn) for name, fn in stats.items()]
+    slots = [VARS.index(name) for name in stats]
+    if not slots:
+        return Laurent.const(sum(1 for _ in items))
+    streams = itertools.tee(items, len(slots)) if len(slots) > 1 else (iter(items),)
+    counts = Counter(zip(*[map(fn, s) for fn, s in zip(stats.values(), streams)]))
     acc: dict[tuple[int, ...], int] = {}
-    for item in items:
+    for values, count in counts.items():
         e = [0, 0, 0, 0]
-        for i, fn in cols:
-            e[i] = fn(item)
-        key = tuple(e)
-        acc[key] = acc.get(key, 0) + 1
-    return Laurent(acc)
+        for i, v in zip(slots, values):
+            e[i] = v
+        acc[tuple(e)] = count
+    return Laurent._of(acc)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ equality).  Run with `pytest tests/test_acceptance.py -v -s` to see the
 criterion lines as they complete."""
 
 import itertools
+import json
+import pathlib
 import time
 
 from mahonian.foata import foata, foata_inverse, foata_trace
@@ -158,14 +160,22 @@ def test_criterion_9_profiles():
     start = time.perf_counter()
     full = run_suite("full")
     full_elapsed = time.perf_counter() - start
+    # verdicts, params and witnesses of the full profile, pinned as
+    # verify_quick.json pins the quick one
+    reports = [r.to_json() for r in full]
+    for report in reports:
+        del report["millis"]
+    golden = json.loads((pathlib.Path(__file__).parent / "data" / "verify_full.json").read_text())
     ok = (
         quick_exit == 0
         and all(r.passed for r in full)
+        and reports == golden
         and quick_elapsed < 10.0
         and full_elapsed < 600.0
     )
     _criterion(
         9,
-        f"verify --all quick {quick_elapsed:.1f}s (< 10s), full profile {full_elapsed:.1f}s (< 600s)",
+        f"verify --all quick {quick_elapsed:.1f}s (< 10s), full profile {full_elapsed:.1f}s (< 600s),"
+        " full reports match tests/data/verify_full.json",
         ok,
     )

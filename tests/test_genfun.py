@@ -86,6 +86,52 @@ def test_distribution():
     )
 
 
+def _count_by_key(items, key):
+    """The per-item dict count that distribution must reproduce."""
+    out: dict[tuple[int, ...], int] = {}
+    for item in items:
+        e = key(item)
+        out[e] = out.get(e, 0) + 1
+    return Laurent(out)
+
+
+def test_distribution_reads_a_one_shot_stream_once():
+    words = list(permutations_of((1, 1, 2, 2, 3)))
+    got = distribution((w for w in words), {"q": maj, "t": des})
+    assert got == _count_by_key(words, lambda w: (maj(w), des(w), 0, 0))
+    # each variable lands in its own slot whatever the mapping order
+    got = distribution(iter(words), {"s": des, "q": inv})
+    assert got == _count_by_key(words, lambda w: (inv(w), 0, 0, des(w)))
+
+
+def test_distribution_with_no_statistics_counts_the_items():
+    assert distribution(permutations_of((1, 2, 2)), {}) == Laurent.const(3)
+    assert distribution(iter(()), {}) == ZERO
+    with pytest.raises(ValueError):
+        distribution([(1,)], {"x": maj})
+
+
+def test_distribution_runs_statistics_item_by_item_in_mapping_order():
+    calls = []
+
+    def stat(name, fail_at):
+        def fn(item):
+            calls.append((name, item))
+            if item == fail_at:
+                raise ZeroDivisionError(item)
+            return item
+
+        return fn
+
+    with pytest.raises(ZeroDivisionError, match="^3$"):
+        distribution(range(10), {"q": stat("q", None), "t": stat("t", 3)})
+    assert calls == [(name, k) for k in range(4) for name in "qt"]
+    calls.clear()
+    with pytest.raises(ZeroDivisionError, match="^3$"):
+        distribution(range(10), {"q": stat("q", 3), "t": stat("t", None)})
+    assert calls == [(name, k) for k in range(3) for name in "qt"] + [("q", 3)]
+
+
 def test_catalan_polys():
     assert catalan_qt(0) == ONE
     assert catalan_qt(2) == 1 + Q**2 * T

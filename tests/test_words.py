@@ -1,5 +1,6 @@
 import itertools
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -129,6 +130,24 @@ def test_is_ballot_examples():
     # works beyond the binary alphabet
     assert is_ballot(parse_word("123123"))
     assert not is_ballot(parse_word("1233"))
+
+
+def _is_ballot_by_counter(w):
+    counts = Counter()
+    for a in w:
+        counts[a] += 1
+        if a > 1 and counts[a] > counts[a - 1]:
+            return False
+    return True
+
+
+def test_is_ballot_with_letter_gaps():
+    # a letter whose predecessor never occurred fails at once
+    for w in [(1, 3), (2,), (1, 2, 2), (1, 1, 2, 3, 3), (1, 2, 1, 3), (1, 1, 2, 2, 3, 3, 4)]:
+        assert is_ballot(w) == _is_ballot_by_counter(w), w
+    assert [is_ballot(w) for w in [(1, 3), (2,), (1, 2, 2), (1, 1, 2, 3, 3)]] == [False] * 4
+    for w in itertools.product((1, 2, 3, 5), repeat=5):
+        assert is_ballot(w) == _is_ballot_by_counter(w), w
 
 
 def test_excess_profile_examples():
@@ -394,6 +413,17 @@ def test_statistics_match_reference_oracles_on_long_words(w):
     assert maj(w) == _maj_by_descent_set(w)
     assert des(w) == _des_by_descent_set(w)
     assert (inv(list(w)), maj(list(w)), des(list(w))) == (inv(w), maj(w), des(w))
+
+
+def test_statistics_on_permutations_and_huge_letters():
+    big = 10**20
+    cases = [w for n in range(7) for w in symmetric_group(n)]
+    cases += [tuple(big + a for a in w) for w in itertools.product((1, 2, 3), repeat=5)]
+    cases += [(big, 1, big + 1, big, 2, big - 1), (big - 1, big, big + 1), (big,) * 4]
+    for w in cases:
+        assert inv(w) == _inv_by_pairs(w), w
+        assert maj(w) == _maj_by_descent_set(w), w
+        assert des(w) == _des_by_descent_set(w), w
 
 
 def test_validation_messages():
