@@ -84,6 +84,9 @@ class Laurent:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
+        # a constant equals its integer, so it must hash as that integer
+        if self._terms.keys() <= {_ZEROEXP}:
+            return hash(self._terms.get(_ZEROEXP, 0))
         return hash(frozenset(self._terms.items()))
 
     def __neg__(self) -> "Laurent":

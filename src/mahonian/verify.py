@@ -1,8 +1,10 @@
 """Registry of executable checks, one per named identity or bijection
 theorem, each exhaustively verified at caller-chosen desk-scale bounds.
 
-A check is a function whose parameters are its bounds.  It returns
-normally when the identity holds at those bounds and raises
+A check is a function whose parameters are its bounds.  Each bound is
+declared once, in its registration's bounds table, as the (quick, full)
+pair of values the two profiles run it at.  A check returns normally
+when the identity holds at those bounds and raises
 Counterexample(witness) when it does not; the witness is a concrete
 word, partition or monomial that reproduces the failure in isolation.
 run_check turns either outcome, or any other exception, into a
@@ -48,12 +50,11 @@ Some checks walk a generating tree instead of enumerating each size anew:
 
 from __future__ import annotations
 
-import inspect
 import itertools
 import math
 import random
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import bijections as B
 from .foata import (
@@ -78,14 +79,17 @@ class Counterexample(Exception):
     """Raised by a check that fails; the message is the witness."""
 
 
-@dataclass
-class PairReport:
-    check: str
-    params: dict
-    verdict: str  # "pass" | "fail" | "error"
-    witness: str | None = None
-    millis: float = 0.0
-    established: bool = True
+class PairReport(
+    namedtuple(
+        "PairReport",
+        "check params verdict witness millis established",
+        defaults=(None, 0.0, True),
+    )
+):
+    """The outcome of one check at one set of bounds; verdict is "pass",
+    "fail" or "error"."""
+
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -105,26 +109,17 @@ class PairReport:
         return out
 
 
-@dataclass(frozen=True)
-class CheckDef:
-    doc: str
-    fn: object
-    quick: dict
-    full: dict
-    established: bool = True
-
-    @property
-    def bounds(self) -> tuple[str, ...]:
-        """The bound names this check accepts: its function's parameters."""
-        return tuple(inspect.signature(self.fn).parameters)
+# bounds maps fn's parameters, in order, to their values per profile,
+# (quick, full) in PROFILES order
+CheckDef = namedtuple("CheckDef", "doc fn bounds established", defaults=(True,))
 
 
 CHECKS: dict[str, CheckDef] = {}
 
 
-def _register(name, doc, quick, full, established=True):
+def _register(name, doc, bounds, established=True):
     def deco(fn):
-        CHECKS[name] = CheckDef(doc, fn, quick, full, established)
+        CHECKS[name] = CheckDef(doc, fn, bounds, established)
         return fn
 
     return deco
@@ -184,8 +179,7 @@ def check_mahonian_pair(S, T, label: str = "") -> None:
 @_register(
     "foata-worked-example",
     "seven-stage construction of the image of 2121312, with factorizations",
-    quick={},
-    full={},
+    bounds={},
 )
 def _chk_worked_example():
     expected = [
@@ -215,8 +209,7 @@ def _chk_worked_example():
 @_register(
     "maj-inv-foata",
     "maj v = inv(image of v) on all small binary and ternary words",
-    quick={"binary_len": 10, "ternary_len": 6},
-    full={"binary_len": 14, "ternary_len": 9},
+    bounds={"binary_len": (10, 14), "ternary_len": (6, 9)},
 )
 def _chk_maj_inv(binary_len, ternary_len):
     for alphabet, cap in (((1, 2), binary_len), ((1, 2, 3), ternary_len)):
@@ -230,8 +223,7 @@ def _chk_maj_inv(binary_len, ternary_len):
 @_register(
     "foata-roundtrip",
     "inverse(image(v)) = v on all small ternary words",
-    quick={"ternary_len": 6},
-    full={"ternary_len": 9},
+    bounds={"ternary_len": (6, 9)},
 )
 def _chk_roundtrip(ternary_len):
     # the inverse is the fold of the peel, so peeling each edge back to its
@@ -248,8 +240,7 @@ def _chk_roundtrip(ternary_len):
     "foata-binary-forms",
     "closed form, rewriting rules, and the binary peeling inverse all agree "
     "with the staged construction on binary words",
-    quick={"max_len": 10},
-    full={"max_len": 14},
+    bounds={"max_len": (10, 14)},
 )
 def _chk_binary_forms(max_len):
     # the rewriting rules are read off each node's parent and grandparent
@@ -278,8 +269,7 @@ def _chk_binary_forms(max_len):
     "macmahon",
     "maj and inv are equidistributed over every rearrangement class of "
     "small multisets on {1,2,3} and over the symmetric groups",
-    quick={"max_size": 6, "max_perm_n": 5},
-    full={"max_size": 8, "max_perm_n": 7},
+    bounds={"max_size": (6, 8), "max_perm_n": (5, 7)},
 )
 def _chk_macmahon(max_size, max_perm_n):
     for total in range(max_size + 1):
@@ -298,8 +288,7 @@ def _chk_macmahon(max_size, max_perm_n):
     "reverse-complement",
     "reverse-complement is an involution preserving inv and des and "
     "sending maj to n*des - maj",
-    quick={"max_len": 9},
-    full={"max_len": 12},
+    bounds={"max_len": (9, 12)},
 )
 def _chk_prime(max_len):
     for n in range(max_len + 1):
@@ -321,8 +310,7 @@ def _chk_prime(max_len):
     "lattice-path",
     "the path partition has size inv(w), conjugates with reverse-complement, "
     "and round-trips with the boundary word",
-    quick={"max_total": 9},
-    full={"max_total": 12},
+    bounds={"max_total": (9, 12)},
 )
 def _chk_lattice(max_total):
     for n in range(max_total + 1):
@@ -349,8 +337,7 @@ def _chk_lattice(max_total):
     "maj-des-durfee",
     "maj v is the size and des v the Durfee side of the path partition of "
     "the image of v",
-    quick={"max_len": 9},
-    full={"max_len": 12},
+    bounds={"max_len": (9, 12)},
 )
 def _chk_maj_des_durfee(max_len):
     for v, w in foata_tree((1, 2), max_len):
@@ -363,8 +350,7 @@ def _chk_maj_des_durfee(max_len):
     "excess-pairing",
     "max prefix two-excess equals n minus the pair count on rearrangements "
     "of 1^n 2^n, and the ballot words are exactly those with excess <= 0",
-    quick={"max_n": 4},
-    full={"max_n": 6},
+    bounds={"max_n": (4, 6)},
 )
 def _chk_excess_pairing(max_n):
     for n in range(max_n + 1):
@@ -380,8 +366,7 @@ def _chk_excess_pairing(max_n):
     "excess-rank-lemma",
     "prefix excesses of v match the successive ranks of the image's path "
     "partition, shifted by one",
-    quick={"max_len": 9},
-    full={"max_len": 12},
+    bounds={"max_len": (9, 12)},
 )
 def _chk_excess_rank(max_len):
     for v, w in foata_tree((1, 2), max_len):
@@ -414,8 +399,7 @@ def _path_ranks_negative(w):
     "ballot-rank-image",
     "the image of the square ballot words is exactly the words whose path "
     "partition has all ranks negative",
-    quick={"max_n": 4},
-    full={"max_n": 6},
+    bounds={"max_n": (4, 6)},
 )
 def _chk_ballot_image(max_n):
     for n in range(max_n + 1):
@@ -451,8 +435,7 @@ def _check_ballot_preimages(k, l, prefix):
     "ballot-preimage-conditions",
     "the image of v is a square ballot word iff the run exponents satisfy "
     "the dominance inequalities",
-    quick={"max_n": 4},
-    full={"max_n": 6},
+    bounds={"max_n": (4, 6)},
 )
 def _chk_ballot_preimage(max_n):
     for n in range(max_n + 1):
@@ -463,8 +446,7 @@ def _chk_ballot_preimage(max_n):
     "ballot-rect-image",
     "rectangular version of the ballot image theorem (at least as many "
     "ones as twos)",
-    quick={"max_total": 8},
-    full={"max_total": 12},
+    bounds={"max_total": (8, 12)},
 )
 def _chk_rect_image(max_total):
     for total in range(max_total + 1):
@@ -477,8 +459,7 @@ def _chk_rect_image(max_total):
     "ballot-rect-preimage",
     "rectangular version of the ballot preimage conditions, with the "
     "excess k-l entering the two's inequality",
-    quick={"max_total": 8},
-    full={"max_total": 12},
+    bounds={"max_total": (8, 12)},
 )
 def _chk_rect_preimage(max_total):
     for total in range(max_total + 1):
@@ -491,8 +472,7 @@ def _chk_rect_preimage(max_total):
     "rank-catalan-qt",
     "size and Durfee side over all-ranks-negative partitions in the square "
     "box generate the q,t-Catalan polynomial",
-    quick={"max_n": 4},
-    full={"max_n": 6},
+    bounds={"max_n": (4, 6)},
 )
 def _chk_rank_catalan(max_n):
     for n in range(max_n + 1):
@@ -508,8 +488,7 @@ def _chk_rank_catalan(max_n):
 @_register(
     "catalan-q1",
     "the t = 1 Catalan polynomial is the Gaussian binomial over [n+1]",
-    quick={"max_n": 4},
-    full={"max_n": 7},
+    bounds={"max_n": (4, 7)},
 )
 def _chk_catalan_q1(max_n):
     for n in range(max_n + 1):
@@ -528,8 +507,7 @@ def _chk_catalan_q1(max_n):
     "catalan-square-q",
     "the inv Catalan polynomial is the square-weighted sum of triangle "
     "polynomials",
-    quick={"max_n": 4},
-    full={"max_n": 7},
+    bounds={"max_n": (4, 7)},
 )
 def _chk_catalan_square(max_n):
     for n in range(max_n + 1):
@@ -545,8 +523,7 @@ def _chk_catalan_square(max_n):
 @_register(
     "catalan-four-term",
     "the four-term q,t recursion with arguments inverted and twisted",
-    quick={"max_n": 3},
-    full={"max_n": 5},
+    bounds={"max_n": (3, 5)},
 )
 def _chk_catalan_four_term(max_n):
     for n in range(1, max_n + 1):
@@ -565,8 +542,7 @@ def _chk_catalan_four_term(max_n):
     "catalan-triangle-counts",
     "ballot-word counts match the classical triangle of differences of "
     "binomials, and their squares sum to the Catalan numbers",
-    quick={"max_n": 7},
-    full={"max_n": 10},
+    bounds={"max_n": (7, 10)},
 )
 def _chk_triangle(max_n):
     for n in range(max_n + 1):
@@ -587,8 +563,7 @@ def _chk_triangle(max_n):
     "the one's/two's composition encodings are bijections onto the ballot "
     "triangle, and their product composed with the inverse fundamental "
     "bijection is the half split",
-    quick={"max_n_comp": 5, "max_n_beta": 4},
-    full={"max_n_comp": 8, "max_n_beta": 6},
+    bounds={"max_n_comp": (5, 8), "max_n_beta": (4, 6)},
 )
 def _chk_compositions(max_n_comp, max_n_beta):
     for n in range(max_n_comp + 1):
@@ -632,8 +607,7 @@ def _chk_compositions(max_n_comp, max_n_beta):
     "ballot-split",
     "the half split is injective into pairs of ballot words and adds d^2 "
     "inversions",
-    quick={"max_n": 4},
-    full={"max_n": 6},
+    bounds={"max_n": (4, 6)},
 )
 def _chk_split(max_n):
     for n in range(max_n + 1):
@@ -654,8 +628,7 @@ def _chk_split(max_n):
     "excess-maxrank-pair",
     "words with excess k and words whose path partition has maximum rank "
     "k-1 form a Mahonian pair",
-    quick={"max_n": 4},
-    full={"max_n": 6},
+    bounds={"max_n": (4, 6)},
 )
 def _chk_excess_maxrank(max_n):
     for n in range(max_n + 1):
@@ -670,8 +643,7 @@ def _chk_excess_maxrank(max_n):
 @_register(
     "fibonacci-counts",
     "the three Fibonacci word families have Fibonacci cardinalities",
-    quick={"max_n": 9},
-    full={"max_n": 14},
+    bounds={"max_n": (9, 14)},
 )
 def _chk_fib_counts(max_n):
     for n in range(max_n + 1):
@@ -690,8 +662,7 @@ def _chk_fib_counts(max_n):
     "fib-poly-three-way",
     "recursion, enumeration, and the closed form agree for the maj/des "
     "polynomial of no-adjacent-ones words, also after t = 1",
-    quick={"max_n": 7},
-    full={"max_n": 12},
+    bounds={"max_n": (7, 12)},
 )
 def _chk_fib_three_way(max_n):
     for n in range(max_n + 1):
@@ -711,8 +682,7 @@ def _chk_fib_three_way(max_n):
     "fib-image",
     "the image of no-adjacent-ones words with k ones is cut out by bounds "
     "on the first and last parts of the path partition",
-    quick={"max_n": 8},
-    full={"max_n": 12},
+    bounds={"max_n": (8, 12)},
 )
 def _chk_fib_image(max_n):
     def image_member(w):
@@ -735,8 +705,7 @@ def _no_adjacent(w, letter):
     "fib-preimage-runs",
     "preimages of no-adjacent-ones words are cut out by run-length "
     "conditions",
-    quick={"max_n": 8},
-    full={"max_n": 12},
+    bounds={"max_n": (8, 12)},
 )
 def _chk_fib_preimage(max_n):
     def run_conditions(v):
@@ -761,8 +730,7 @@ def _chk_fib_preimage(max_n):
     "mirrored statements for no-adjacent-twos words: image characterized "
     "by a square-topped path partition and at most one trailing two, "
     "preimage by run conditions, polynomial by a Laurent twist",
-    quick={"max_n": 8},
-    full={"max_n": 12},
+    bounds={"max_n": (8, 12)},
     established=False,
 )
 def _chk_fib_dual(max_n):
@@ -804,8 +772,7 @@ def _chk_fib_dual(max_n):
     "letter-sum-mahonian",
     "words with fixed letter sum are preserved by the fundamental "
     "bijection, so they pair with themselves",
-    quick={"max_total": 9},
-    full={"max_total": 14},
+    bounds={"max_total": (9, 14)},
 )
 def _chk_letter_sum(max_total):
     for n in range(max_total + 1):
@@ -819,8 +786,7 @@ def _chk_letter_sum(max_total):
     "carlitz-series",
     "low coefficients of the t = 1 polynomials stabilize to the "
     "Rogers-Ramanujan-type series sum of q^(k^2-k)/(q)_k",
-    quick={"max_coeff": 6},
-    full={"max_coeff": 15},
+    bounds={"max_coeff": (6, 15)},
 )
 def _chk_carlitz(max_coeff):
     series = G.carlitz_series(max_coeff)
@@ -841,8 +807,7 @@ def _chk_carlitz(max_coeff):
     "preimages of the boundary words of all partitions, of the "
     "all-ranks-negative ones, and of the equal-first-parts ones are the "
     "21-suffix, ballot 21-suffix, and 121-suffix families",
-    quick={"max_len": 9},
-    full={"max_len": 14},
+    bounds={"max_len": (9, 14)},
 )
 def _chk_infinite_images(max_len):
     for v, w in foata_tree((1, 2), max_len):
@@ -865,8 +830,7 @@ def _chk_infinite_images(max_len):
     "the triple statistic maj/des/excess on each suffix family matches "
     "size/Durfee/(max rank + 1) on the partition side, as Laurent series "
     "in z truncated by boundary length",
-    quick={"max_len": 9},
-    full={"max_len": 14},
+    bounds={"max_len": (9, 14)},
 )
 def _chk_wslat(max_len):
     word_stats = {"q": W.maj, "t": W.des, "z": lambda v: W.excess_profile(v)[1]}
@@ -889,8 +853,7 @@ def _chk_wslat(max_len):
     "suffix-family-genfun",
     "maj over the ballot 21-suffix words and over the 121-suffix words "
     "both expand the no-ones partition product",
-    quick={"max_len": 10},
-    full={"max_len": 15},
+    bounds={"max_len": (10, 15)},
 )
 def _chk_suffix_genfun(max_len):
     # every nonempty word here ends in 21, so has a descent: only the empty
@@ -912,8 +875,7 @@ def _chk_suffix_genfun(max_len):
     "partitions with all ranks positive are equinumerous with partitions "
     "with no part one, matching the product expansion; conjugation swaps "
     "the rank sign",
-    quick={"degree": 12},
-    full={"degree": 20},
+    bounds={"degree": (12, 20)},
 )
 def _chk_rank_positive(degree):
     product = G.truncated_product(range(2, degree + 1), degree)
@@ -943,8 +905,7 @@ _RANK_INTERVAL_CASES = ((5, 1), (5, 2), (7, 1), (7, 2), (7, 3))
     "partitions with ranks in [-r+2, M-r-2] are equinumerous with "
     "partitions with no part divisible by or congruent to +-r mod M; "
     "specializing M = n+2, r = 1 recovers the no-part-one sieve",
-    quick={"degree": 12},
-    full={"degree": 20},
+    bounds={"degree": (12, 20)},
 )
 def _chk_rank_interval(degree):
     # one pass over the partitions of each n reads ranks(p) once and counts
@@ -975,8 +936,7 @@ def _chk_rank_interval(degree):
     "csv-worked-example",
     "the five-stage rank-reduction chain of (8,8,6,5,2,1), including rank "
     "vectors, boundary words, preimages, and excess vectors",
-    quick={},
-    full={},
+    bounds={},
 )
 def _chk_csv_example():
     expected = [
@@ -1011,8 +971,7 @@ def _chk_csv_example():
     "the rank reduction maps equal-first-parts partitions of each size "
     "bijectively onto the all-ranks-negative ones, using max rank + 1 "
     "steps that each drop the maximum rank",
-    quick={"max_size": 12, "count_size": 12},
-    full={"max_size": 22, "count_size": 25},
+    bounds={"max_size": (12, 22), "count_size": (12, 25)},
     # count_size only bounds the counting comparison
 )
 def _chk_csv_bijection(max_size, count_size):
@@ -1051,8 +1010,7 @@ def _chk_csv_bijection(max_size, count_size):
     "csv-gk-conjugacy",
     "the rank reduction equals the chain map conjugated by the fundamental "
     "bijection through boundary words",
-    quick={"max_size": 12},
-    full={"max_size": 22},
+    bounds={"max_size": (12, 22)},
 )
 def _chk_conjugacy(max_size):
     for n in range(max_size + 1):
@@ -1070,8 +1028,7 @@ def _chk_conjugacy(max_size):
     "gk-bijection",
     "the chain map is a bijection between 121-suffix words and ballot "
     "21-suffix words, and the single flip preserves the pairing",
-    quick={"max_len": 10},
-    full={"max_len": 14},
+    bounds={"max_len": (10, 14)},
 )
 def _chk_gk(max_len):
     for v in W.suffix_words((1, 2, 1), max_len):
@@ -1094,8 +1051,7 @@ def _chk_gk(max_len):
     "chain-decomposition",
     "the flip chains partition all binary words of each length into "
     "symmetric chains",
-    quick={"max_n": 6},
-    full={"max_n": 8},
+    bounds={"max_n": (6, 8)},
 )
 def _chk_chains(max_n):
     for n in range(max_n + 1):
@@ -1124,8 +1080,7 @@ def _chk_chains(max_n):
     "lucanomial-positive",
     "Lucas-sequence binomials are polynomials with nonnegative "
     "coefficients and specialize to fibonomials and Gaussian binomials",
-    quick={"max_n": 6},
-    full={"max_n": 8},
+    bounds={"max_n": (6, 8)},
 )
 def _chk_lucanomial(max_n):
     fib = [0, 1]
@@ -1155,8 +1110,7 @@ def _chk_lucanomial(max_n):
     "st-catalan",
     "the Lucas Catalan analogue divides exactly, has nonnegative "
     "coefficients, and satisfies the two-binomial identity",
-    quick={"max_n": 5},
-    full={"max_n": 8},
+    bounds={"max_n": (5, 8)},
 )
 def _chk_st_catalan(max_n):
     for n in range(1, max_n + 1):
@@ -1185,8 +1139,7 @@ _PATTERN_INV_SETS = (
     "pattern-pairs",
     "every avoidance class from the maj list pairs with every class from "
     "the inv list",
-    quick={"max_n": 5},
-    full={"max_n": 7},
+    bounds={"max_n": (5, 7)},
 )
 def _chk_pattern_pairs(max_n):
     def fmt(pats):
@@ -1210,8 +1163,7 @@ def _chk_pattern_pairs(max_n):
     "distribution-transport",
     "maj over an arbitrary finite word set equals inv over its image "
     "(seeded random sets)",
-    quick={"max_len": 10, "samples": 40},
-    full={"max_len": 12, "samples": 200},
+    bounds={"max_len": (10, 12), "samples": (40, 200)},
 )
 def _chk_transport(max_len, samples):
     rng = random.Random(271828)
@@ -1253,7 +1205,9 @@ def run_check(name: str, bounds: dict | None = None, profile: str = "quick") -> 
             raise KeyError(f"check {name} has no bound {key!r}")
         if value < 0:
             raise ValueError(f"bound {key} must be nonnegative, got {value}")
-    params = {**(defn.quick if profile == "quick" else defn.full), **(bounds or {})}
+    column = PROFILES.index(profile)
+    params = {key: pair[column] for key, pair in defn.bounds.items()}
+    params.update(bounds or {})
     verdict, witness = "pass", None
     start = time.perf_counter()
     try:

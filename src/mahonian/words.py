@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from typing import Any
 
 Word = tuple[int, ...]
 
@@ -227,8 +226,8 @@ def run_decomposition(w: Sequence[int]) -> tuple[tuple[int, int, bool, bool], ..
 
 
 def walk(
-    root: Any, branches: Callable[[Any], Iterable[tuple[int, Any]] | None]
-) -> Iterator[tuple[Word, Any]]:
+    root: object, branches: Callable[[object], Iterable[tuple[int, object]] | None]
+) -> Iterator[tuple[Word, object]]:
     """(word, state) for every leaf of a prefix tree, depth first.
 
     branches(state) is None at a leaf, and otherwise an iterable of

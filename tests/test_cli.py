@@ -229,7 +229,7 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     def always_fails():
         raise V.Counterexample("synthetic witness")
 
-    fake = V.CheckDef("test-only failing check", always_fails, {}, {})
+    fake = V.CheckDef("test-only failing check", always_fails, {})
     monkeypatch.setitem(V.CHECKS, "synthetic-failure", fake)
     code, out, _ = run_cli(capsys, "verify", "synthetic-failure")
     assert code == 1
@@ -246,7 +246,7 @@ def test_verify_error_verdict(capsys, monkeypatch):
     def raises():
         raise ValueError("synthetic bug")
 
-    fake = V.CheckDef("test-only raising check", raises, {}, {})
+    fake = V.CheckDef("test-only raising check", raises, {})
     monkeypatch.setitem(V.CHECKS, "synthetic-error", fake)
     code, out, err = run_cli(capsys, "verify", "synthetic-error", "foata-worked-example")
     assert code == 1

@@ -37,6 +37,14 @@ def test_basic_arithmetic():
     assert Q**0 == ONE
 
 
+@pytest.mark.parametrize("c", [0, 1, -3])
+def test_constant_hashes_as_its_integer(c):
+    p = Laurent.const(c)
+    assert p == c and hash(p) == hash(c)
+    assert c in {p}
+    assert p in {c}
+
+
 def test_laurent_exponents():
     inv_q = Q**-1
     assert inv_q * Q == ONE

@@ -1,11 +1,15 @@
 import inspect
 import json
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import mahonian
 from mahonian.verify import (
     CHECKS,
+    PROFILES,
     CheckDef,
     Counterexample,
     PairReport,
@@ -37,7 +41,7 @@ def test_unknown_bound():
 
 def test_unknown_profile(monkeypatch):
     runs = []
-    fake = CheckDef("test-only recording check", lambda: runs.append(1), {}, {})
+    fake = CheckDef("test-only recording check", lambda: runs.append(1), {})
     monkeypatch.setitem(CHECKS, "synthetic-probe", fake)
     with pytest.raises(ValueError, match="^profile must be quick or full, got 'fulll'$"):
         run_check("synthetic-probe", profile="fulll")
@@ -101,7 +105,7 @@ def test_error_verdict(monkeypatch):
     def raises():
         raise KeyError("synthetic")
 
-    fake = CheckDef("test-only raising check", raises, {}, {})
+    fake = CheckDef("test-only raising check", raises, {})
     monkeypatch.setitem(CHECKS, "synthetic-error", fake)
     report = run_check("synthetic-error")
     assert report.verdict == "error"
@@ -116,10 +120,17 @@ def test_negative_bound_rejected():
 
 @pytest.mark.parametrize("name", list(CHECKS))
 def test_profile_bounds_are_parameters(name):
+    """The bounds table names the check's parameters, in order and with no
+    defaults, and gives each an integer pair 0 <= quick <= full."""
     defn = CHECKS[name]
-    assert set(defn.quick) == set(defn.full) == set(defn.bounds)
     params = inspect.signature(defn.fn).parameters.values()
+    assert list(defn.bounds) == [p.name for p in params]
     assert all(p.default is inspect.Parameter.empty for p in params)
+    for key, pair in defn.bounds.items():
+        assert type(pair) is tuple and len(pair) == len(PROFILES), f"{key}: {pair!r}"
+        assert all(type(v) is int for v in pair), f"{key}: {pair!r}"
+        quick, full = pair
+        assert 0 <= quick <= full, f"{key}: {pair!r}"
 
 
 @pytest.mark.parametrize("name", list(CHECKS))
@@ -257,3 +268,26 @@ def test_excess_pairing_catches_a_lost_pair(monkeypatch):
     report = run_check("excess-pairing", profile="quick")
     assert (report.verdict, report.witness) == ("fail", "w=12: e=0, pairs=0")
     assert run_check("excess-rank-lemma", profile="quick").passed
+
+
+def test_import_loads_no_inspect_dataclasses_or_typing():
+    """A fresh interpreter, without site's preloads, imports mahonian
+    without loading inspect, dataclasses or typing."""
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); "
+        "import mahonian; print(*sorted(set(sys.modules) - before))"
+    )
+    src = Path(mahonian.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code, str(src)],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    loaded = set(proc.stdout.split())
+    assert "mahonian.verify" in loaded
+    heavy = sorted(loaded & {"inspect", "dataclasses", "typing"})
+    assert not heavy, (
+        f"import mahonian loads {heavy}; perfbench's setup_s times this import, "
+        "and these modules were most of its cost"
+    )

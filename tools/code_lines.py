@@ -3,8 +3,10 @@
 A code line is a line holding a token that is not a comment or a
 docstring (blank lines, comment-only lines and docstring lines do not
 count).  An optional parameter is a default value, a *args or a **kwargs
-of a function or lambda.  The last line counts the names the package's
-__init__.py imports from its modules, its public API.
+of a function or lambda.  The last lines count the names the package's
+__init__.py imports from its modules, its public API, and list the
+modules outside the package that importing it adds to a fresh
+interpreter (python -I -S, so no site hook preloads any).
 
 Usage: python tools/code_lines.py [DIR]   (default: src/mahonian)
 """
@@ -12,6 +14,7 @@ Usage: python tools/code_lines.py [DIR]   (default: src/mahonian)
 from __future__ import annotations
 
 import ast
+import subprocess
 import sys
 import tokenize
 from pathlib import Path
@@ -71,6 +74,22 @@ def exported_names(path: Path) -> int:
     )
 
 
+def imported_modules(package: Path) -> list[str]:
+    """Modules outside the package that importing it adds to a fresh
+    interpreter, sorted by name."""
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); "
+        "__import__(sys.argv[2]); print(*sorted(set(sys.modules) - before))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code, str(package.resolve().parent), package.name],
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    return [m for m in out.split() if m.split(".")[0] != package.name]
+
+
 def main(argv: list[str]) -> int:
     root = Path(argv[1] if len(argv) > 1 else "src/mahonian")
     total_lines = total_opts = 0
@@ -84,6 +103,9 @@ def main(argv: list[str]) -> int:
     init = root / "__init__.py"
     if init.exists():
         print(f"exported names: {exported_names(init)}")
+        modules = imported_modules(root)
+        print(f"modules the import adds: {len(modules)}")
+        print(" ".join(modules))
     return 0
 
 
