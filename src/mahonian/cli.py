@@ -17,7 +17,6 @@ compatibility.
 from __future__ import annotations
 
 import argparse
-import inspect
 import itertools
 import json
 import sys
@@ -149,18 +148,31 @@ def _render_csv_trace(stages) -> str:
     return "\n\n".join(blocks)
 
 
+_VARARGS = 0x04  # the code flag of a function taking *args
+
+
+def _signature(fn) -> tuple[tuple[str, ...], int, bool, tuple[str, ...]]:
+    """(positional parameter names, how many of them are required,
+    whether fn takes *args, keyword-only parameter names) of a Python
+    function, read from its code object and defaults."""
+    code = fn.__code__
+    n = code.co_argcount
+    names = code.co_varnames[: n + code.co_kwonlyargcount]
+    return names[:n], n - len(fn.__defaults__ or ()), bool(code.co_flags & _VARARGS), names[n:]
+
+
 def _call(fn, params: list, args, usage: str):
     """fn(*params), its keyword-only parameters read from the options of
     the same name in args that were given (an option left unset leaves fn
-    its default).  A parameter count that fn's signature does not take is
-    a usage error showing usage."""
-    sig = inspect.signature(fn)
-    options = {k: getattr(args, k) for k, p in sig.parameters.items() if p.kind is p.KEYWORD_ONLY}
-    options = {k: v for k, v in options.items() if v is not None}
-    try:
-        sig.bind(*params, **options)
-    except TypeError:
-        raise ValueError(f"wrong number of parameters; usage: {usage}") from None
+    its default).  A parameter count that fn's signature does not take, or
+    a keyword-only parameter without a default left unset, is a usage
+    error showing usage."""
+    positional, required, varargs, keyword_only = _signature(fn)
+    options = {k: getattr(args, k) for k in keyword_only if getattr(args, k) is not None}
+    defaults = fn.__kwdefaults__ or {}
+    fits = required <= len(params) and (varargs or len(params) <= len(positional))
+    if not fits or not all(k in options or k in defaults for k in keyword_only):
+        raise ValueError(f"wrong number of parameters; usage: {usage}")
     return fn(*params, **options)
 
 
@@ -198,10 +210,10 @@ _GENFUN = {
 def _cmd_genfun(args) -> int:
     name = args.family
     fn = _GENFUN[name]
-    params = inspect.signature(fn).parameters
-    if args.truncate is not None and "truncate" not in params:
+    positional, _, _, keyword_only = _signature(fn)
+    if args.truncate is not None and "truncate" not in keyword_only:
         raise ValueError(f"--truncate applies only to the product families, not to {name}")
-    usage = [name] + [k.upper() for k, p in params.items() if p.kind is not p.KEYWORD_ONLY]
+    usage = [name, *(k.upper() for k in positional)]
     poly = _call(fn, [int(x) for x in args.params], args, " ".join(usage))
     if args.json:
         print(json.dumps({"family": name, "poly": str(poly), "terms": poly.to_json()}))

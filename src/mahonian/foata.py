@@ -18,6 +18,21 @@ foata_peel undoes one step, foata(v + (a,)) -> (foata(v), a), and
 foata_inverse is its fold.  foata_binary and foata_inverse_binary are
 independent routes to the same bijection on binary words and never call
 the step; they are the oracles the exhaustive checks compare it against.
+
+The letters that close factors, those <= a when w's last letter is <= a
+and those > a otherwise, form the closing side.  If the closing side
+holds every letter of the alphabet, each factor is one letter and the
+step is w + (a,).  If it holds one letter value, every factor ends in
+that value and the step moves w's last letter to the front:
+(w[-1], *w[:-1], a).  foata_tree knows its alphabet, so it takes these
+closed forms on every edge where the alphabet decides them: every edge
+of the {1,2} tree, and on {1,2,3} the edges adding 3, adding 1 after a
+final 1, and adding 2 after a final 3.  It calls foata_step on the rest.
+foata, foata_trace and foata_peel stay general.  foata is the plain fold
+of the step, the reference the tree's closed forms are tested against;
+foata_trace reports each stage's factors, which the closed forms never
+cut; and foata_peel undoes the general step, so foata-roundtrip holds every
+closed-form edge against a route that shares none of its code.
 """
 
 from __future__ import annotations
@@ -93,9 +108,12 @@ def foata_tree(alphabet: Sequence[int], max_len: int) -> Iterator[tuple[Word, Wo
     by memory and no level is ever held.  Each child's image is one step
     from its parent's image, computed just before the child is yielded,
     so a step that raises does so at the same word as folding each word
-    of the stream in turn would.  This walker stays apart from
-    words.walk: one preorder walker serving both made every stream
-    measured, this one and walk's leaf streams, 16-54% slower.
+    of the stream in turn would.  An edge whose closing side the alphabet
+    decides takes the closed form, a fixed number of tuple operations
+    (see the module docstring); the others call foata_step.  This walker
+    stays apart from words.walk: one preorder walker serving both made
+    every stream measured, this one and walk's leaf streams, 16-54%
+    slower.
     """
     alphabet = tuple(sorted(set(as_word(alphabet))))
     if max_len < 0:
@@ -104,20 +122,37 @@ def foata_tree(alphabet: Sequence[int], max_len: int) -> Iterator[tuple[Word, Wo
 
 
 def _tree(alphabet: Word, max_len: int) -> Iterator[tuple[Word, Word]]:
+    # k counts the letters <= a, so the closing side of the edge u -> a
+    # holds k letters when u[-1] <= a and n - k otherwise
+    n = len(alphabet)
+    table = tuple((a, k) for k, a in enumerate(alphabet, start=1))
     yield (), ()
     if not max_len:
         return
     v: list[int] = []
     images: list[Word] = [()]  # images[i] is the image of v[:i]
-    stack = [iter(alphabet)]
+    stack = [iter(table)]
     while stack:
-        for a in stack[-1]:
-            w = foata_step(images[-1], a)
+        for a, k in stack[-1]:
+            u = images[-1]
+            if not u:
+                w = (a,)
+            elif u[-1] <= a:
+                if k == n:
+                    w = u + (a,)
+                elif k == 1:  # u[-1] == a, the least letter
+                    w = (a, *u[:-1], a)
+                else:
+                    w = foata_step(u, a)
+            elif k == n - 1:  # u[-1] is the greatest letter
+                w = (u[-1], *u[:-1], a)
+            else:
+                w = foata_step(u, a)
             v.append(a)
             yield tuple(v), w
             if len(v) < max_len:
                 images.append(w)
-                stack.append(iter(alphabet))
+                stack.append(iter(table))
                 break
             v.pop()
         else:
@@ -178,48 +213,58 @@ def foata_inverse_binary(w: Sequence[int]) -> Word:
     1^m 2 u 1 2^n  ->  inverse(u) 2 1^(m+1) 2^n.
 
     Kept separate from foata_inverse as an independent cross-check path.
+    Each peel finds the leading ones by tuple.index and counts the
+    trailing twos, and the peeled tails grow one tuple suffix.  The
+    leading ones are taken by position, so they are counted and checked
+    against w's ones at the end; the first letter that is neither 1 nor
+    2 raises require_binary's error.
     """
-    require_binary(w)
-    w = tuple(w)
-    suffix: list[int] = []
-    while True:
-        m = 0
-        while m < len(w) and w[m] == 1:
-            m += 1
-        if m == len(w):  # 1^a 2^b is a fixed point
-            break
+    w0 = w = tuple(w)
+    suffix: Word = ()
+    ones = 0  # letters taken for ones by position alone
+    while 2 in w:
+        m = w.index(2)
         n = 0
-        while n < len(w) and w[len(w) - 1 - n] == 2:
-            n += 1
-        if m + n == len(w):
+        for a in reversed(w):
+            if a == 2:
+                n += 1
+            elif a == 1:
+                break
+            else:
+                require_binary(w0)
+        if m + n == len(w):  # 1^m 2^n is a fixed point
+            ones += m
             break
         # w = 1^m 2 u 1 2^n
-        tail = [2] + [1] * (m + 1) + [2] * n
-        tail.extend(suffix)
-        suffix = tail
+        ones += m + 1
+        suffix = (2,) + (1,) * (m + 1) + (2,) * n + suffix
         w = w[m + 1 : len(w) - n - 1]
-    return w + tuple(suffix)
+    else:
+        ones += len(w)  # 1^a is a fixed point
+    if w0.count(1) != ones:
+        require_binary(w0)
+    return w + suffix
 
 
 def foata_binary(v: Sequence[int]) -> Word:
     """Closed form of the bijection on binary words.
 
     With v = 1^m0 2^n0 ... 1^md 2^nd the image is
-    1^(md-1) 2 ... 1^(m1-1) 2 1^m0 2^(n0-1) 1 ... 2^(n(d-1)-1) 1 2^nd.
+    1^(md-1) 2 ... 1^(m1-1) 2 1^m0 2^(n0-1) 1 ... 2^(n(d-1)-1) 1 2^nd,
+    written run by run with tuple repetition.
     """
     om, ta = ones_twos_compositions(v)
-    d = len(om) - 1
-    if d == 0:
+    if len(om) == 1:
         return tuple(v)
     out: list[int] = []
-    for i in range(d, 0, -1):
-        out.extend([1] * (om[i] - 1))
+    for m in om[:0:-1]:
+        out += (1,) * (m - 1)
         out.append(2)
-    out.extend([1] * om[0])
-    for j in range(0, d):
-        out.extend([2] * (ta[j] - 1))
+    out += (1,) * om[0]
+    for n in ta[:-1]:
+        out += (2,) * (n - 1)
         out.append(1)
-    out.extend([2] * ta[d])
+    out += (2,) * ta[-1]
     return tuple(out)
 
 

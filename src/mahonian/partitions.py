@@ -115,18 +115,20 @@ def partition_of_word(w: Sequence[int]) -> Partition:
     of a binary word (1 = north step, 2 = east step).
 
     The i-th part (ones numbered right to left) counts the twos before
-    that one, so the size of the partition equals inv(w).
+    that one, so the size of the partition equals inv(w).  A letter that
+    is neither 1 nor 2 raises require_binary's error.
     """
-    require_binary(w)
     parts: list[int] = []
     seen2 = 0
     for a in w:
         if a == 2:
             seen2 += 1
-        else:
+        elif a == 1:
             parts.append(seen2)
-    parts.reverse()
-    return tuple(x for x in parts if x)
+        else:
+            require_binary(w)
+    parts.reverse()  # weakly decreasing, so the zero parts end it
+    return tuple(parts[: len(parts) - parts.count(0)])
 
 
 def boundary_word(p: Sequence[int]) -> Word:

@@ -133,22 +133,27 @@ def ones_twos_compositions(v: Sequence[int]) -> tuple[tuple[int, ...], tuple[int
     """Exponent vectors of the factorization 1^m0 2^n0 1^m1 2^n1 ... 1^md 2^nd.
 
     d equals des(v); m0 and nd may vanish, the interior exponents are
-    positive.  The empty word yields ((0,), (0,)).
+    positive.  The empty word yields ((0,), (0,)).  One pass with a
+    counter per letter; a letter that is neither 1 nor 2 raises
+    require_binary's error.
     """
-    require_binary(v)
-    blocks = [[0, 0]]
-    in_twos = False
+    ones: list[int] = []
+    twos: list[int] = []
+    m = n = 0
     for a in v:
         if a == 1:
-            if in_twos:
-                blocks.append([1, 0])
-                in_twos = False
-            else:
-                blocks[-1][0] += 1
+            if n:  # a descent closes the block 1^m 2^n
+                ones.append(m)
+                twos.append(n)
+                m = n = 0
+            m += 1
+        elif a == 2:
+            n += 1
         else:
-            in_twos = True
-            blocks[-1][1] += 1
-    return tuple(m for m, _ in blocks), tuple(n for _, n in blocks)
+            require_binary(v)
+    ones.append(m)
+    twos.append(n)
+    return tuple(ones), tuple(twos)
 
 
 def word_from_compositions(ones_comp: Sequence[int], twos_comp: Sequence[int]) -> Word:

@@ -4,6 +4,7 @@ import itertools
 import json
 import pathlib
 import shlex
+import subprocess
 import sys
 
 import pytest
@@ -488,3 +489,13 @@ def test_verify_quick_matches_golden(capsys):
         del report["millis"]
     golden = pathlib.Path(__file__).parent / "data" / "verify_quick.json"
     assert reports == json.loads(golden.read_text())
+
+
+def test_cli_import_loads_no_inspect():
+    """A fresh interpreter, without site's preloads, imports the command
+    line without loading inspect: _call reads each family's parameters
+    from its code object, and every command pays this import."""
+    code = "import sys; sys.path.insert(0, sys.argv[1]); import mahonian.cli; print('inspect' in sys.modules)"
+    src = pathlib.Path(sys.modules["mahonian.cli"].__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", code, str(src)], capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == ["False"]

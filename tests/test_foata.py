@@ -117,6 +117,14 @@ def test_foata_tree_is_lexicographic_preorder(alphabet):
     assert list(foata_tree(alphabet, 7)) == [(v, foata(v)) for v in expected]
 
 
+@given(st.sets(st.integers(min_value=1, max_value=9), min_size=1, max_size=6), st.integers(0, 5))
+def test_foata_tree_closed_forms_agree_with_the_fold(letters, max_len):
+    """Over alphabets with gaps, each edge's closed form (whole closing
+    side, one closing value) or general step gives foata(v)."""
+    expected = sorted(v for n in range(max_len + 1) for v in itertools.product(letters, repeat=n))
+    assert list(foata_tree(tuple(letters), max_len)) == [(v, foata(v)) for v in expected]
+
+
 def test_foata_tree_edges():
     assert list(foata_tree((1, 2), 0)) == [((), ())]
     assert list(foata_tree((), 0)) == [((), ())]
@@ -138,17 +146,22 @@ def test_foata_tree_raises_where_the_fold_does(monkeypatch):
     real_step = F.foata_step
 
     def step(w, a, **kw):
-        if w == (1,) and a == 2:  # the image of (1, 2), a second child
+        # the edge 12 -> 122 is a general ternary edge: 2 closes with 1
+        if w == (1, 2) and a == 2:
             raise ArithmeticError("synthetic")
         return real_step(w, a, **kw)
 
     monkeypatch.setattr(F, "foata_step", step)
     seen = []
     with pytest.raises(ArithmeticError):
-        for v, _ in foata_tree((1, 2), 3):
+        for v, _ in foata_tree((1, 2, 3), 3):
             seen.append(v)
-    # folding the words in the same order first raises at (1, 2)
-    assert seen == [(), (1,), (1, 1), (1, 1, 1), (1, 1, 2)]
+    # folding the words in the same order first raises at (1, 2, 2)
+    assert seen == [(), (1,), (1, 1), (1, 1, 1), (1, 1, 2), (1, 1, 3), (1, 2), (1, 2, 1)]
+    for v in seen:
+        foata(v)
+    with pytest.raises(ArithmeticError):
+        foata((1, 2, 2))
 
 
 def test_foata_tree_deeper_than_the_recursion_limit():

@@ -1,4 +1,5 @@
 import inspect
+import itertools
 import json
 import subprocess
 import sys
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import mahonian
+from mahonian.foata import foata
 from mahonian.verify import (
     CHECKS,
     PROFILES,
@@ -208,14 +210,31 @@ def test_tree_checks_catch_a_broken_peel_and_a_lost_avoider(monkeypatch):
     assert report.witness == "n=4, Av{132,213}: 4321 is in the right set only"
 
 
+def _open_edges(alphabet, max_len):
+    """Edges u -> a of the prefix tree (u the parent's image) whose closing
+    side, the letters b with (b <= a) == (u[-1] <= a), holds neither the
+    whole alphabet nor a single letter, by brute force over every word."""
+    count = 0
+    for n in range(1, max_len):
+        for v in itertools.product(alphabet, repeat=n):
+            u = foata(v)
+            for a in alphabet:
+                closing = [b for b in alphabet if (b <= a) == (u[-1] <= a)]
+                count += 1 < len(closing) < len(alphabet)
+    return count
+
+
 def test_tree_checks_step_once_per_edge_and_never_invert(monkeypatch):
-    """maj-inv-foata steps each edge of its two prefix trees once
-    (2^11 - 2 binary and (3^7 - 3) / 2 ternary edges at quick), and
-    foata-roundtrip peels edges instead of inverting whole words."""
+    """maj-inv-foata reaches each edge of its two prefix trees once
+    (2^11 - 2 binary and (3^7 - 3) / 2 ternary edges at quick) and calls
+    the general step only on the edges whose closing side the alphabet
+    leaves open: none of the binary edges; foata-roundtrip peels edges
+    instead of inverting whole words."""
     from mahonian import verify
 
     F = sys.modules["mahonian.foata"]
     calls = {"foata_step": 0, "foata_inverse": 0}
+    edges = []
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -224,12 +243,22 @@ def test_tree_checks_step_once_per_edge_and_never_invert(monkeypatch):
 
         return wrapper
 
+    def counted_tree(alphabet, max_len):
+        edges.append(-1)  # the root is reached by no edge
+        for item in F.foata_tree(alphabet, max_len):
+            edges[-1] += 1
+            yield item
+
+    open_ternary = _open_edges((1, 2, 3), 6)
+    assert _open_edges((1, 2), 10) == 0 and open_ternary == 484
     monkeypatch.setattr(F, "foata_step", counting("foata_step", F.foata_step))
+    monkeypatch.setattr(verify, "foata_tree", counted_tree)
     inverse = counting("foata_inverse", F.foata_inverse)
     for module in (F, verify):
         monkeypatch.setattr(module, "foata_inverse", inverse)
     assert run_check("maj-inv-foata", profile="quick").passed
-    assert calls["foata_step"] == 3138 == 2046 + 1092
+    assert edges == [2046, 1092] and sum(edges) == 3138
+    assert calls["foata_step"] == open_ternary
     assert run_check("foata-roundtrip", profile="quick").passed
     assert calls["foata_inverse"] == 0
 
