@@ -261,14 +261,14 @@ def gk_map(v: Sequence[int]) -> Word:
     unpaired twos of the prefix and absorb them into the final two-run,
     sending x121 to flips(x) 1 2^(t+1) 1."""
     v = as_word(v)
-    require_binary(v)
+    # the two of the suffix 121 pairs with its first one, so x121 has
+    # exactly x's unpaired twos
+    _, _, un2 = match_pairs(v)
     if v == ():
         return ()
     if v[-3:] != (1, 2, 1):
         raise ValueError("word must end in 121")
-    x = v[:-3]
-    _, _, un2 = match_pairs(x)
-    return _flip(x, un2, 1) + (1,) + (2,) * (len(un2) + 1) + (1,)
+    return _flip(v[:-3], un2, 1) + (1,) + (2,) * (len(un2) + 1) + (1,)
 
 
 def gk_inverse(w: Sequence[int]) -> Word:

@@ -9,30 +9,42 @@ factor ends at a letter <= a (and all earlier letters of the factor are
 a bijection that carries the major index to the inversion number:
 maj(v) = inv(foata(v)) for every word v.
 
-The step has three consumers: foata is the left fold of the step over v,
-foata_trace records every stage of that fold with its factors, and
-foata_tree streams (v, foata(v)) over every word up to a length, taking
-each image from its parent's image with a single step.
+The step has three consumers: foata is the left fold of the step over v
+(on words with three or more letter values), foata_trace records every
+stage of that fold with its factors, and foata_tree streams (v, foata(v))
+over every word up to a length, taking each image from its parent's image
+with a single step.
 
 foata_peel undoes one step, foata(v + (a,)) -> (foata(v), a), and
-foata_inverse is its fold.  foata_binary and foata_inverse_binary are
-independent routes to the same bijection on binary words and never call
-the step; they are the oracles the exhaustive checks compare it against.
+foata_inverse is its fold (again on three or more letter values).
+foata_binary and foata_inverse_binary are independent routes to the same
+bijection on binary words and never call the step; they are the oracles
+the exhaustive checks compare it against.
 
 The letters that close factors, those <= a when w's last letter is <= a
 and those > a otherwise, form the closing side.  If the closing side
 holds every letter of the alphabet, each factor is one letter and the
 step is w + (a,).  If it holds one letter value, every factor ends in
 that value and the step moves w's last letter to the front:
-(w[-1], *w[:-1], a).  foata_tree knows its alphabet, so it takes these
-closed forms on every edge where the alphabet decides them: every edge
-of the {1,2} tree, and on {1,2,3} the edges adding 3, adding 1 after a
-final 1, and adding 2 after a final 3.  It calls foata_step on the rest.
-foata, foata_trace and foata_peel stay general.  foata is the plain fold
-of the step, the reference the tree's closed forms are tested against;
+(w[-1], *w[:-1], a).  On a word with two letter values lo < hi both
+rules decide every letter: appending hi appends it, and appending lo
+rotates first.  foata and foata_inverse test each word once for at most
+two letter values and then take these closed forms on every letter; a
+one-value word is a fixed point.  foata_tree knows its alphabet, so it
+takes the closed forms on every edge where the alphabet decides them:
+every edge of a two-letter tree, and on {1,2,3} the edges adding 3,
+adding 1 after a final 1, and adding 2 after a final 3.  It calls
+foata_step on the rest.
+
+foata_step, foata_trace and foata_peel stay general, and they are the
+references the closed forms are tested against.  The fold of the step
+(foata_trace's stages) shares no closed form with foata or the tree;
 foata_trace reports each stage's factors, which the closed forms never
-cut; and foata_peel undoes the general step, so foata-roundtrip holds every
-closed-form edge against a route that shares none of its code.
+cut; and foata_peel undoes the general step, so foata-roundtrip holds
+every closed-form tree edge against a route that shares none of its
+code.  On three or more letter values the fold and the inverse stay
+general: there the closing side depends on which letters the prefix
+holds, not on the word's letter values alone.
 """
 
 from __future__ import annotations
@@ -72,9 +84,24 @@ def foata_step(w: Sequence[int], a: int, *, factors: list[Word] | None = None) -
 
 def foata(v: Sequence[int]) -> Word:
     """Image of v under the bijection; a rearrangement of v with
-    inv(foata(v)) = maj(v)."""
-    w: Word = ()
-    for a in as_word(v):
+    inv(foata(v)) = maj(v).
+
+    A word with at most two letter values, lo < hi, takes the closed
+    forms: appending hi appends it, and appending lo moves the last
+    letter to the front first.  Any other word is the fold of foata_step.
+    """
+    v = as_word(v)
+    letters = set(v)
+    if len(letters) < 2:
+        return v  # a one-value word is a fixed point
+    if len(letters) == 2:
+        hi = max(letters)
+        w = v[:1]
+        for a in v[1:]:
+            w = w + (a,) if a == hi else w[-1:] + w[:-1] + (a,)
+        return w
+    w = ()
+    for a in v:
         w = foata_step(w, a)
     return w
 
@@ -198,12 +225,28 @@ def foata_peel(w: Sequence[int]) -> tuple[Word, int]:
 
 
 def foata_inverse(w: Sequence[int]) -> Word:
-    """Inverse map: the fold of foata_peel, read back to front."""
-    out: list[int] = []
+    """Inverse map, read back to front.
+
+    A word with at most two letter values, lo < hi, takes the closed
+    forms: peeling hi drops it, and peeling lo also moves the first
+    letter to the back.  Any other word is the fold of foata_peel.
+    """
     u = as_word(w)
-    while u:
-        u, a = foata_peel(u)
-        out.append(a)
+    letters = set(u)
+    if len(letters) < 2:
+        return u  # a one-value word is a fixed point
+    out: list[int] = []
+    if len(letters) == 2:
+        hi = max(letters)
+        while len(u) > 1:
+            a = u[-1]
+            u = u[:-1] if a == hi else u[1:-1] + u[:1]
+            out.append(a)
+        out += u
+    else:
+        while u:
+            u, a = foata_peel(u)
+            out.append(a)
     out.reverse()
     return tuple(out)
 

@@ -160,7 +160,7 @@ def partition_of_boundary(w: Sequence[int]) -> Partition:
 
 def is_boundary_word(w: Sequence[int]) -> bool:
     w = tuple(w)
-    return w == () or (all(a in (1, 2) for a in w) and w[0] == 2 and w[-1] == 1)
+    return w == () or (w.count(1) + w.count(2) == len(w) and w[0] == 2 and w[-1] == 1)
 
 
 # ---------------------------------------------------------------------------

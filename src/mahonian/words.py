@@ -113,10 +113,18 @@ def reverse_complement(w: Sequence[int]) -> Word:
     """Read a binary word backwards while exchanging ones and twos.
 
     An involution; it preserves inv and des, and sends maj to
-    len(w)*des(w) - maj(w).
+    len(w)*des(w) - maj(w).  One pass; a letter that is neither 1 nor 2
+    raises require_binary's error.
     """
-    require_binary(w)
-    return tuple(3 - a for a in reversed(w))
+    out: list[int] = []
+    for a in reversed(w):
+        if a == 1:
+            out.append(2)
+        elif a == 2:
+            out.append(1)
+        else:
+            require_binary(w)
+    return tuple(out)
 
 
 def is_ballot(w: Sequence[int]) -> bool:
@@ -173,15 +181,17 @@ def match_pairs(w: Sequence[int]) -> tuple[tuple[tuple[int, int], ...], tuple[in
     """Pair ones (openers) with later twos (closers), stack style.
 
     Returns (pairs, unpaired_one_positions, unpaired_two_positions), all
-    1-based.  Every unpaired two precedes every unpaired one.
+    1-based.  Every unpaired two precedes every unpaired one.  A letter
+    that is neither 1 nor 2 raises require_binary's error.
     """
-    require_binary(w)
     stack: list[int] = []
     pairs: list[tuple[int, int]] = []
     un2: list[int] = []
     for pos, a in enumerate(w, start=1):
         if a == 1:
             stack.append(pos)
+        elif a != 2:
+            require_binary(w)
         elif stack:
             pairs.append((stack.pop(), pos))
         else:

@@ -348,6 +348,18 @@ def test_chain_maps_match_flip_by_flip_oracles_exhaustively():
             assert _outcome(new, w) == _outcome(old, w), (new.__name__, w)
 
 
+def test_gk_maps_keep_their_validation_messages():
+    for f, w, message in [
+        (gk_map, (1, 3, 1, 2, 1), "word must use only letters 1 and 2: 13121"),
+        (gk_map, (1, 2, 3), "word must use only letters 1 and 2: 123"),
+        (gk_map, (2, 2, 1, 2, 1, 1), "word must end in 121"),
+        (gk_inverse, (1, 2, 3), "word must use only letters 1 and 2: 123"),
+        (gk_inverse, (1, 3, 1, 2, 2, 1), "word must use only letters 1 and 2: 131221"),
+        (gk_inverse, (2, 1), "ballot word required"),
+    ]:
+        assert _outcome(f, w) == f"ValueError: {message}", (f.__name__, w)
+
+
 def test_chains_match_flip_by_flip_oracle():
     for n in range(11):
         assert chains(n) == _chains_flip_by_flip(n), n

@@ -21,6 +21,27 @@ from mahonian.words import format_word, inv, maj, parse_word
 words = st.lists(st.integers(min_value=1, max_value=6), max_size=20).map(tuple)
 long_words = st.lists(st.integers(min_value=1, max_value=6), max_size=300).map(tuple)
 binary_words = st.lists(st.integers(min_value=1, max_value=2), max_size=40).map(tuple)
+two_letter_words = st.tuples(
+    st.integers(min_value=1, max_value=10**9),
+    st.integers(min_value=1, max_value=10**9),
+    st.lists(st.booleans(), max_size=600),
+).map(lambda t: tuple(t[0] if pick else t[1] for pick in t[2]))
+
+
+def _fold(v):
+    """The general fold of the step, which foata takes on three or more
+    letter values."""
+    return reduce(foata_step, v, ())
+
+
+def _peel_fold(w):
+    """The general fold of the peel, which foata_inverse takes on three or
+    more letter values."""
+    out = []
+    while w:
+        w, a = foata_peel(w)
+        out.append(a)
+    return tuple(reversed(out))
 
 
 def test_worked_example():
@@ -108,7 +129,52 @@ def test_roundtrip_and_transport(v):
 
 @given(words)
 def test_foata_is_fold_of_step(v):
-    assert foata(v) == reduce(foata_step, v, ())
+    assert foata(v) == _fold(v)
+
+
+def _closed_form_domains():
+    yield ()
+    for alphabet, max_len in (((1, 2, 3), 7), ((1, 2, 3, 4), 6), ((3, 7), 12)):
+        for n in range(max_len + 1):
+            yield from itertools.product(alphabet, repeat=n)
+    for n in range(1, 7):
+        yield from itertools.permutations(range(1, n + 1))
+
+
+def test_closed_forms_agree_with_the_general_folds():
+    for v in _closed_form_domains():
+        assert foata(v) == _fold(v), v
+        assert foata_inverse(v) == _peel_fold(v), v
+
+
+@given(two_letter_words)
+def test_closed_forms_on_long_two_letter_words(v):
+    w = foata(v)
+    assert w == _fold(v)
+    assert foata_inverse(w) == v
+    assert foata_inverse(v) == _peel_fold(v)
+
+
+def test_closed_forms_call_no_general_route(monkeypatch):
+    F = sys.modules["mahonian.foata"]
+    calls = {"step": 0, "peel": 0}
+
+    def step(w, a, **kw):
+        calls["step"] += 1
+        return foata_step(w, a, **kw)
+
+    def peel(w):
+        calls["peel"] += 1
+        return foata_peel(w)
+
+    monkeypatch.setattr(F, "foata_step", step)
+    monkeypatch.setattr(F, "foata_peel", peel)
+    for v in ((3, 7, 7, 3, 7, 3, 3), (2, 2, 2), (1, 2, 2, 1, 2, 1)):
+        assert foata_inverse(foata(v)) == v
+    assert calls == {"step": 0, "peel": 0}
+    v = (1, 3, 2, 1, 2)  # three letter values: the general routes
+    assert foata_inverse(foata(v)) == v
+    assert calls == {"step": len(v), "peel": len(v)}
 
 
 @pytest.mark.parametrize("alphabet", [(1, 2), (1, 2, 3), (1, 3, 7)])
@@ -120,9 +186,10 @@ def test_foata_tree_is_lexicographic_preorder(alphabet):
 @given(st.sets(st.integers(min_value=1, max_value=9), min_size=1, max_size=6), st.integers(0, 5))
 def test_foata_tree_closed_forms_agree_with_the_fold(letters, max_len):
     """Over alphabets with gaps, each edge's closed form (whole closing
-    side, one closing value) or general step gives foata(v)."""
+    side, one closing value) or general step gives the general fold of v,
+    which shares no closed form with the tree."""
     expected = sorted(v for n in range(max_len + 1) for v in itertools.product(letters, repeat=n))
-    assert list(foata_tree(tuple(letters), max_len)) == [(v, foata(v)) for v in expected]
+    assert list(foata_tree(tuple(letters), max_len)) == [(v, _fold(v)) for v in expected]
 
 
 def test_foata_tree_edges():
@@ -156,12 +223,13 @@ def test_foata_tree_raises_where_the_fold_does(monkeypatch):
     with pytest.raises(ArithmeticError):
         for v, _ in foata_tree((1, 2, 3), 3):
             seen.append(v)
-    # folding the words in the same order first raises at (1, 2, 2)
+    # the general fold of the words in the same order first raises at
+    # (1, 2, 2); foata itself takes a closed form on two-letter words
     assert seen == [(), (1,), (1, 1), (1, 1, 1), (1, 1, 2), (1, 1, 3), (1, 2), (1, 2, 1)]
     for v in seen:
-        foata(v)
+        reduce(F.foata_step, v, ())
     with pytest.raises(ArithmeticError):
-        foata((1, 2, 2))
+        reduce(F.foata_step, (1, 2, 2), ())
 
 
 def test_foata_tree_deeper_than_the_recursion_limit():

@@ -25,11 +25,14 @@ from mahonian.partitions import (
     partitions_of,
     partitions_up_to,
     rank_at_least,
+    is_boundary_word,
     rank_at_most,
+    rank_in_interval,
     rank_negative_in_box,
     ranks,
     size,
 )
+from mahonian.verify import _RANK_INTERVAL_CASES
 from mahonian.words import inv, parse_word, permutations_of, reverse_complement
 
 partition_lists = st.integers(min_value=0, max_value=9).flatmap(
@@ -202,6 +205,45 @@ def test_partition_streams():
     assert ([()] == [p for p in rank_at_least(1, 0)]) and ([()] == [p for p in rank_at_most(-1, 0)])
     assert (2, 2) in set(first_difference_class(0, 6))
     assert all(part % 5 in (2, 3) for p in no_part_congruent(5, 1, 12) for part in p)
+
+
+def test_is_boundary_word_matches_the_letter_by_letter_predicate():
+    def by_letters(w):
+        w = tuple(w)
+        return w == () or (all(a in (1, 2) for a in w) and w[0] == 2 and w[-1] == 1)
+
+    for n in range(7):
+        for w in itertools.product((0, 1, 2, 3), repeat=n):
+            assert is_boundary_word(w) == is_boundary_word(list(w)) == by_letters(w), w
+
+
+def test_class_families_match_the_sieve_predicates():
+    """The enumerate families hold the classes the sieve checks count,
+    each stated as the check states it."""
+    every = list(partitions_up_to(12))
+
+    def having(pred):
+        return [p for p in every if pred(p)]
+
+    for t in range(-3, 4):
+        assert list(rank_at_least(t, 12)) == having(lambda p: all(r >= t for r in ranks(p)))
+        assert list(rank_at_most(t, 12)) == having(lambda p: all(r <= t for r in ranks(p)))
+    for t in range(1, 5):
+        assert list(no_part_equal(t, 12)) == having(lambda p: t not in p)
+    # rank-positive-sieve: all ranks >= 1, all ranks <= -1, no part one
+    assert len(list(rank_at_least(1, 12))) == len(list(rank_at_most(-1, 12))) == len(list(no_part_equal(1, 12)))
+    for modulus, r in _RANK_INTERVAL_CASES:
+        lo, hi = -r + 2, modulus - r - 2
+        in_interval = list(rank_in_interval(lo, hi, 12))
+        assert in_interval == having(lambda p: all(lo <= x <= hi for x in ranks(p)))
+        off = list(no_part_congruent(modulus, r, 12))
+        assert off == having(lambda p: all(part % modulus not in (0, r % modulus, -r % modulus) for part in p))
+        assert len(in_interval) == len(off)
+    # the reduction case: ranks in [1, n-1] against no part one, size by size
+    for n in range(13):
+        in_interval = [p for p in rank_in_interval(1, n - 1, n) if size(p) == n]
+        assert in_interval == having(lambda p: size(p) == n and all(1 <= x <= n - 1 for x in ranks(p)))
+        assert len(in_interval) == sum(1 for p in partitions_of(n) if 1 not in p)
 
 
 def test_partitions_by_boundary_length():

@@ -171,6 +171,36 @@ def test_match_pairs():
     assert len(pairs) == 2 and un1 == () and un2 == ()
 
 
+def _reverse_complement_validated_first(w):
+    require_binary(w)
+    return tuple(3 - a for a in reversed(w))
+
+
+def _match_pairs_validated_first(w):
+    require_binary(w)
+    return match_pairs(w)
+
+
+def _outcome(f, w):
+    try:
+        return f(w)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_binary_helpers_validate_in_their_loop_as_up_front():
+    for n in range(7):
+        for w in itertools.product((0, 1, 2, 3), repeat=n):
+            for word in (w, list(w)):
+                assert _outcome(reverse_complement, word) == _outcome(_reverse_complement_validated_first, word), w
+                assert _outcome(match_pairs, word) == _outcome(_match_pairs_validated_first, word), w
+    for f in (reverse_complement, match_pairs):
+        with pytest.raises(ValueError, match=r"^word must use only letters 1 and 2: 2130$"):
+            f((2, 1, 3, 0))
+        with pytest.raises(ValueError, match=r"^word must use only letters 1 and 2: 1,2,10$"):
+            f([1, 2, 10])
+
+
 def test_run_decomposition():
     runs = run_decomposition(parse_word("1112212222"))
     assert runs == ((1, 3, True, False), (2, 2, False, False), (1, 1, False, False), (2, 4, False, True))
