@@ -117,6 +117,20 @@ def test_map_gk(capsys):
     assert code == 0 and out.strip() == "121"
 
 
+# the exact stdout of each map id and each trace, in text and in --json,
+# keyed by the command line after "mahonian"
+_MAP_OUTPUTS = json.loads((pathlib.Path(__file__).parent / "data" / "cli_maps.json").read_text())
+
+
+@pytest.mark.parametrize("command", list(_MAP_OUTPUTS))
+def test_map_output_pinned(capsys, command):
+    assert run_cli(capsys, *shlex.split(command)) == (0, _MAP_OUTPUTS[command], "")
+
+
+def test_map_trace_of_an_untraced_map(capsys):
+    assert run_cli(capsys, "map", "gk", "121", "--trace") == (2, "", "error: --trace applies only to phi and csv\n")
+
+
 def test_enumerate(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "ballot", "3")
     assert code == 0

@@ -192,6 +192,30 @@ def test_foata_tree_closed_forms_agree_with_the_fold(letters, max_len):
     assert list(foata_tree(tuple(letters), max_len)) == [(v, _fold(v)) for v in expected]
 
 
+@pytest.mark.parametrize("alphabet", [(4,), (1, 2), (1, 2, 3), (2, 5, 9), (1, 3, 4, 8)])
+def test_foata_tree_steps_only_where_the_alphabet_leaves_the_edge_open(monkeypatch, alphabet):
+    """The tree calls foata_step on exactly the edges u -> a that no closed
+    form decides: a is not the greatest letter, not the least letter after
+    a final least letter, and not the second-greatest after a final
+    greatest.  The image's last letter is the parent word's last letter."""
+    F = sys.modules["mahonian.foata"]
+    calls = []
+
+    def step(w, a, **kw):
+        calls.append(a)
+        return foata_step(w, a, **kw)
+
+    monkeypatch.setattr(F, "foata_step", step)
+    low, second, top = alphabet[0], alphabet[-2:][0], alphabet[-1]  # all one letter on (4,)
+    open_edges = 0
+    for v, _ in foata_tree(alphabet, 6):
+        if len(v) > 1:
+            a, last = v[-1], v[-2]
+            open_edges += a != top and not a == low == last and not (a == second and last == top)
+    assert len(calls) == open_edges
+    assert open_edges or len(alphabet) < 3
+
+
 def test_foata_tree_edges():
     assert list(foata_tree((1, 2), 0)) == [((), ())]
     assert list(foata_tree((), 0)) == [((), ())]
