@@ -57,95 +57,85 @@ def _cmd_stat(args) -> int:
     return 0
 
 
+def _word_map(fn):
+    """The _MAPS row of a map from words to words."""
+
+    def row(text: str) -> tuple[dict, str]:
+        word = W.parse_word(text)
+        image = W.format_word(fn(word))
+        return {"input": W.format_word(word), "image": image}, image
+
+    return row
+
+
+def _beta(text: str) -> tuple[dict, str]:
+    x, y = (W.format_word(half) for half in B.ballot_split(W.parse_word(text)))
+    return {"first": x, "second": y}, f"{x} {y}"
+
+
+def _csv(text: str) -> tuple[dict, str]:
+    part = P.parse_partition(text)
+    image = P.format_partition(B.csv_map(part))
+    return {"input": P.format_partition(part), "partition": image}, image
+
+
+def _lambda(text: str) -> tuple[dict, str]:
+    word = W.parse_word(text)
+    lam = P.format_partition(P.partition_of_word(word))
+    ones = word.count(1)
+    return {"word": W.format_word(word), "partition": lam, "box": [ones, len(word) - ones]}, lam
+
+
+def _boundary(text: str) -> tuple[dict, str]:
+    part = P.parse_partition(text)
+    word = W.format_word(P.boundary_word(part))
+    return {"input": P.format_partition(part), "word": word}, word
+
+
+def _phi_trace(text: str) -> tuple[dict, str]:
+    word = W.parse_word(text)
+    trace = [
+        {"stage": W.format_word(st), "factors": None if fs is None else [W.format_word(f) for f in fs]}
+        for st, fs in foata_trace(word)
+    ]
+    return {"image": W.format_word(foata(word)), "trace": trace}, render_trace(word)
+
+
+def _csv_trace(text: str) -> tuple[list, str]:
+    stages, blocks = [], []
+    for st in B.csv_trace(P.parse_partition(text)):
+        lam, w, v = P.format_partition(st["partition"]), W.format_word(st["word"]), W.format_word(st["preimage"])
+        stages.append({**st, "partition": lam, "word": w, "preimage": v})
+        blocks.append(
+            f"lambda = {lam}\n{P.ferrers(st['partition'])}\n"
+            f"rho = {list(st['rho'])}   r = {st['r']}   i = {st['i']}\n"
+            f"w = {w}\nv = {v}\neps = {list(st['excesses'])}"
+        )
+    return stages, "\n\n".join(blocks)
+
+
+# map id -> input text -> (JSON payload, text line), in the order usage lists them
 _MAPS = {
-    "phi": foata,
-    "phi-inv": foata_inverse,
-    "prime": W.reverse_complement,
-    "gk": B.gk_map,
-    "gk-inv": B.gk_inverse,
+    "phi": _word_map(foata),
+    "phi-inv": _word_map(foata_inverse),
+    "beta": _beta,
+    "csv": _csv,
+    "gk": _word_map(B.gk_map),
+    "gk-inv": _word_map(B.gk_inverse),
+    "prime": _word_map(W.reverse_complement),
+    "lambda": _lambda,
+    "boundary": _boundary,
 }
-# the maps that show their stages under --trace
-_TRACED = ("phi", "csv")
+# the maps that show their stages under --trace, read the same way
+_TRACES = {"phi": _phi_trace, "csv": _csv_trace}
 
 
 def _cmd_map(args) -> int:
-    name = args.map
-    if args.trace and name not in _TRACED:
-        raise ValueError(f"--trace applies only to {' and '.join(_TRACED)}")
-    if name in ("csv", "boundary"):
-        part = P.parse_partition(args.input)
-        if name == "boundary":
-            out = P.boundary_word(part)
-            _emit(args, {"input": P.format_partition(part), "word": W.format_word(out)}, W.format_word(out))
-            return 0
-        if args.trace:
-            stages = B.csv_trace(part)
-            if args.json:
-                print(json.dumps([_stage_json(st) for st in stages]))
-            else:
-                print(_render_csv_trace(stages))
-            return 0
-        out = B.csv_map(part)
-        _emit(args, {"input": P.format_partition(part), "partition": P.format_partition(out)}, P.format_partition(out))
-        return 0
-
-    word = W.parse_word(args.input)
-    if name == "lambda":
-        lam = P.partition_of_word(word)
-        ones = sum(1 for a in word if a == 1)
-        payload = {
-            "word": W.format_word(word),
-            "partition": P.format_partition(lam),
-            "box": [ones, len(word) - ones],
-        }
-        _emit(args, payload, P.format_partition(lam))
-        return 0
-    if name == "beta":
-        x, y = B.ballot_split(word)
-        payload = {"first": W.format_word(x), "second": W.format_word(y)}
-        _emit(args, payload, f"{W.format_word(x)} {W.format_word(y)}")
-        return 0
-    if name == "phi" and args.trace:
-        if args.json:
-            trace = [
-                {
-                    "stage": W.format_word(st),
-                    "factors": None if fs is None else [W.format_word(f) for f in fs],
-                }
-                for st, fs in foata_trace(word)
-            ]
-            print(json.dumps({"image": W.format_word(foata(word)), "trace": trace}))
-        else:
-            print(render_trace(word))
-        return 0
-    out = _MAPS[name](word)
-    _emit(args, {"input": W.format_word(word), "image": W.format_word(out)}, W.format_word(out))
+    if args.trace and args.map not in _TRACES:
+        raise ValueError(f"--trace applies only to {' and '.join(_TRACES)}")
+    rows = _TRACES if args.trace else _MAPS
+    _emit(args, *rows[args.map](args.input))
     return 0
-
-
-def _stage_json(st: dict) -> dict:
-    return {
-        "partition": P.format_partition(st["partition"]),
-        "rho": list(st["rho"]),
-        "r": st["r"],
-        "i": st["i"],
-        "word": W.format_word(st["word"]),
-        "preimage": W.format_word(st["preimage"]),
-        "excesses": list(st["excesses"]),
-    }
-
-
-def _render_csv_trace(stages) -> str:
-    blocks = []
-    for st in stages:
-        lines = [f"lambda = {P.format_partition(st['partition'])}"]
-        lines.append(P.ferrers(st["partition"]))
-        lines.append(f"rho = {list(st['rho'])}   r = {st['r']}   i = {st['i']}")
-        lines.append(f"w = {W.format_word(st['word'])}")
-        lines.append(f"v = {W.format_word(st['preimage'])}")
-        lines.append(f"eps = {list(st['excesses'])}")
-        blocks.append("\n".join(lines))
-    return "\n\n".join(blocks)
 
 
 _VARARGS = 0x04  # the code flag of a function taking *args
@@ -272,15 +262,14 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(f"--{name}", action="store_true")
     p.set_defaults(fn=_cmd_stat)
 
-    map_ids = ("phi", "phi-inv", "beta", "csv", "gk", "gk-inv", "prime", "lambda", "boundary")
     p = sub.add_parser("map", help="apply a bijection")
-    p.add_argument("map", choices=map_ids)
+    p.add_argument("map", choices=list(_MAPS))
     p.add_argument("input")
     p.add_argument("--trace", action="store_true")
     p.set_defaults(fn=_cmd_map)
 
     p = sub.add_parser("trace", help="apply a bijection, showing every stage")
-    p.add_argument("map", choices=_TRACED)
+    p.add_argument("map", choices=list(_TRACES))
     p.add_argument("input")
     p.set_defaults(fn=_cmd_map, trace=True)
 

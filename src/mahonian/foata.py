@@ -26,15 +26,16 @@ and those > a otherwise, form the closing side.  If the closing side
 holds every letter of the alphabet, each factor is one letter and the
 step is w + (a,).  If it holds one letter value, every factor ends in
 that value and the step moves w's last letter to the front:
-(w[-1], *w[:-1], a).  On a word with two letter values lo < hi both
-rules decide every letter: appending hi appends it, and appending lo
-rotates first.  foata and foata_inverse test each word once for at most
-two letter values and then take these closed forms on every letter; a
-one-value word is a fixed point.  foata_tree knows its alphabet, so it
-takes the closed forms on every edge where the alphabet decides them:
-every edge of a two-letter tree, and on {1,2,3} the edges adding 3,
-adding 1 after a final 1, and adding 2 after a final 3.  It calls
-foata_step on the rest.
+w[-1:] + w[:-1] + (a,).  With low, second and top the alphabet's least,
+second-greatest and greatest letters (all three equal on one letter),
+that is one rule: appending top appends it; appending low after a final
+low, or second after a final top, moves the last letter to the front
+first; the step decides every other letter.  The rule has three readers.
+foata_tree reads it off its alphabet on every edge.  foata reads it off
+a word with two letter values, where low == second and the rule decides
+every letter, and foata_inverse undoes it there: peeling top drops it,
+and peeling low also moves the first letter to the back.  A one-value
+word is a fixed point.
 
 foata_step, foata_trace and foata_peel stay general, and they are the
 references the closed forms are tested against.  The fold of the step
@@ -42,9 +43,9 @@ references the closed forms are tested against.  The fold of the step
 foata_trace reports each stage's factors, which the closed forms never
 cut; and foata_peel undoes the general step, so foata-roundtrip holds
 every closed-form tree edge against a route that shares none of its
-code.  On three or more letter values the fold and the inverse stay
-general: there the closing side depends on which letters the prefix
-holds, not on the word's letter values alone.
+code.  On three or more letter values foata and foata_inverse take the
+general folds on every letter, though the rule read off the word's own
+low, second and top letters would decide some of those steps too.
 """
 
 from __future__ import annotations
@@ -86,9 +87,8 @@ def foata(v: Sequence[int]) -> Word:
     """Image of v under the bijection; a rearrangement of v with
     inv(foata(v)) = maj(v).
 
-    A word with at most two letter values, lo < hi, takes the closed
-    forms: appending hi appends it, and appending lo moves the last
-    letter to the front first.  Any other word is the fold of foata_step.
+    A word with two letter values takes the module docstring's rule on
+    every letter; any other word is the fold of foata_step.
     """
     v = as_word(v)
     letters = set(v)
@@ -149,37 +149,27 @@ def foata_tree(alphabet: Sequence[int], max_len: int) -> Iterator[tuple[Word, Wo
 
 
 def _tree(alphabet: Word, max_len: int) -> Iterator[tuple[Word, Word]]:
-    # k counts the letters <= a, so the closing side of the edge u -> a
-    # holds k letters when u[-1] <= a and n - k otherwise
-    n = len(alphabet)
-    table = tuple((a, k) for k, a in enumerate(alphabet, start=1))
     yield (), ()
-    if not max_len:
+    if not (max_len and alphabet):
         return
+    low, second, top = alphabet[0], alphabet[-2:][0], alphabet[-1]
     v: list[int] = []
     images: list[Word] = [()]  # images[i] is the image of v[:i]
-    stack = [iter(table)]
+    stack = [iter(alphabet)]
     while stack:
-        for a, k in stack[-1]:
+        for a in stack[-1]:
             u = images[-1]
-            if not u:
-                w = (a,)
-            elif u[-1] <= a:
-                if k == n:
-                    w = u + (a,)
-                elif k == 1:  # u[-1] == a, the least letter
-                    w = (a, *u[:-1], a)
-                else:
-                    w = foata_step(u, a)
-            elif k == n - 1:  # u[-1] is the greatest letter
-                w = (u[-1], *u[:-1], a)
+            if not u or a == top:
+                w = u + (a,)
+            elif a == low == u[-1] or (a == second and u[-1] == top):
+                w = u[-1:] + u[:-1] + (a,)
             else:
                 w = foata_step(u, a)
             v.append(a)
             yield tuple(v), w
             if len(v) < max_len:
                 images.append(w)
-                stack.append(iter(table))
+                stack.append(iter(alphabet))
                 break
             v.pop()
         else:
@@ -227,9 +217,8 @@ def foata_peel(w: Sequence[int]) -> tuple[Word, int]:
 def foata_inverse(w: Sequence[int]) -> Word:
     """Inverse map, read back to front.
 
-    A word with at most two letter values, lo < hi, takes the closed
-    forms: peeling hi drops it, and peeling lo also moves the first
-    letter to the back.  Any other word is the fold of foata_peel.
+    A word with two letter values undoes the module docstring's rule on
+    every letter; any other word is the fold of foata_peel.
     """
     u = as_word(w)
     letters = set(u)

@@ -287,7 +287,8 @@ def _chk_macmahon(max_size, max_perm_n):
 @_register(
     "reverse-complement",
     "reverse-complement is an involution preserving inv and des and "
-    "sending maj to n*des - maj",
+    "sending maj to n*des - maj, so it carries the no-adjacent-ones maj/des "
+    "polynomial to the no-adjacent-twos one under q -> 1/q, t -> q^n t",
     bounds={"max_len": (9, 12)},
 )
 def _chk_prime(max_len):
@@ -300,6 +301,10 @@ def _chk_prime(max_len):
                 raise Counterexample(f"inv/des not preserved at {W.format_word(y)}")
             if W.maj(yp) != n * W.des(y) - W.maj(y):
                 raise Counterexample(f"maj law fails at {W.format_word(y)}")
+        # the no-adjacent-twos words are the images of the no-adjacent-ones words
+        lhs = G.distribution(W.fibonacci_dual_words(n), {"q": W.maj, "t": W.des})
+        rhs = G.fib_poly(n).substitute({"q": Q**-1, "t": monomial(1, q=n, t=1)})
+        _check_polys(lhs, rhs, f"no-adjacent-twos polynomial at n={n}")
 
 
 # ---------------------------------------------------------------------------
@@ -729,7 +734,7 @@ def _chk_fib_preimage(max_n):
     "fib-dual-mirror",
     "mirrored statements for no-adjacent-twos words: image characterized "
     "by a square-topped path partition and at most one trailing two, "
-    "preimage by run conditions, polynomial by a Laurent twist",
+    "preimage by run conditions",
     bounds={"max_n": (8, 12)},
     established=False,
 )
@@ -760,9 +765,6 @@ def _chk_fib_dual(max_n):
     for n in range(max_n + 1):
         for k in range(n + 1):
             _check_image(W.fibonacci_dual_words(n, ones=k), k, n - k, image_member, f"n={n}, k={k}")
-        lhs = G.distribution(W.fibonacci_dual_words(n), {"q": W.maj, "t": W.des})
-        rhs_poly = G.fib_poly(n).substitute({"q": Q**-1, "t": monomial(1, q=n, t=1)})
-        _check_polys(lhs, rhs_poly, f"n={n}")
     for v, w in foata_tree((1, 2), max_n):
         if _no_adjacent(w, 2) != run_conditions(v):
             raise Counterexample(f"run conditions fail at v={W.format_word(v)}")
