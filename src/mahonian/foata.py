@@ -30,12 +30,12 @@ w[-1:] + w[:-1] + (a,).  With low, second and top the alphabet's least,
 second-greatest and greatest letters (all three equal on one letter),
 that is one rule: appending top appends it; appending low after a final
 low, or second after a final top, moves the last letter to the front
-first; the step decides every other letter.  The rule has three readers.
-foata_tree reads it off its alphabet on every edge.  foata reads it off
-a word with two letter values, where low == second and the rule decides
-every letter, and foata_inverse undoes it there: peeling top drops it,
-and peeling low also moves the first letter to the back.  A one-value
-word is a fixed point.
+first; any other letter takes the general step.  The rule has three
+readers.  foata_tree reads it off its alphabet on every edge.  foata
+reads it off a word with two letter values, where low == second and the
+rule decides every letter, and foata_inverse undoes it there: peeling
+top drops it, and peeling low also moves the first letter to the back.
+A one-value word is a fixed point.
 
 foata_step, foata_trace and foata_peel stay general, and they are the
 references the closed forms are tested against.  The fold of the step
@@ -152,7 +152,7 @@ def _tree(alphabet: Word, max_len: int) -> Iterator[tuple[Word, Word]]:
     yield (), ()
     if not (max_len and alphabet):
         return
-    low, second, top = alphabet[0], alphabet[-2:][0], alphabet[-1]
+    low, second, top = alphabet[0], alphabet[-2:][0], alphabet[-1]  # all equal on one letter
     v: list[int] = []
     images: list[Word] = [()]  # images[i] is the image of v[:i]
     stack = [iter(alphabet)]

@@ -301,7 +301,7 @@ def _chk_prime(max_len):
                 raise Counterexample(f"inv/des not preserved at {W.format_word(y)}")
             if W.maj(yp) != n * W.des(y) - W.maj(y):
                 raise Counterexample(f"maj law fails at {W.format_word(y)}")
-        # the no-adjacent-twos words are the images of the no-adjacent-ones words
+        # reverse-complement maps the no-adjacent-ones words onto the no-adjacent-twos words
         lhs = G.distribution(W.fibonacci_dual_words(n), {"q": W.maj, "t": W.des})
         rhs = G.fib_poly(n).substitute({"q": Q**-1, "t": monomial(1, q=n, t=1)})
         _check_polys(lhs, rhs, f"no-adjacent-twos polynomial at n={n}")
