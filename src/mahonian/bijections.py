@@ -11,11 +11,11 @@ from collections.abc import Iterator, Sequence
 from .foata import foata, foata_inverse
 from .partitions import (
     Partition,
-    all_ranks,
     as_partition,
     boundary_word,
     delta,
     partition_of_boundary,
+    rank_negative,
     ranks,
 )
 from .words import (
@@ -57,11 +57,20 @@ def ballot_unsplit(x: Sequence[int], y: Sequence[int]) -> Word:
 # composition encodings of ballot words
 
 
-def _suffix_sums_reach(comp: Sequence[int], slack: int) -> bool:
+def suffix_sums_reach(comp: Sequence[int], slack: int) -> bool:
     """True iff, for i = 1..d, the last i entries of (c_0..c_d) sum to at
-    least 2i - slack: slack 0 for one's, 1 for two's compositions."""
-    sums = itertools.accumulate(reversed(comp[1:]))
-    return all(acc >= 2 * i - slack for i, acc in enumerate(sums, start=1))
+    least 2i - slack: slack 0 for one's, 1 for two's compositions.
+
+    It is also the ballot preimage condition: a rearrangement v of
+    1^k 2^l has a ballot image under foata iff its one's exponents reach
+    with slack 0 and its two's exponents with slack 1 + k - l
+    (words.ones_twos_compositions gives both)."""
+    acc = 0
+    for i in range(1, len(comp)):
+        acc += comp[-i]
+        if acc < 2 * i - slack:
+            return False
+    return True
 
 
 def is_ones_composition(comp: Sequence[int]) -> bool:
@@ -69,7 +78,7 @@ def is_ones_composition(comp: Sequence[int]) -> bool:
     rest positive, and every suffix sum of length i at least 2i."""
     if not comp or comp[0] < 0 or any(c < 1 for c in comp[1:]):
         return False
-    return _suffix_sums_reach(comp, 0)
+    return suffix_sums_reach(comp, 0)
 
 
 def is_twos_composition(comp: Sequence[int]) -> bool:
@@ -77,7 +86,7 @@ def is_twos_composition(comp: Sequence[int]) -> bool:
     rest positive, and every suffix sum of length i at least 2i - 1."""
     if not comp or comp[-1] < 0 or any(c < 1 for c in comp[:-1]):
         return False
-    return _suffix_sums_reach(comp, 1)
+    return suffix_sums_reach(comp, 1)
 
 
 def _compositions(total: int, mins: Sequence[int]) -> Iterator[tuple[int, ...]]:
@@ -174,12 +183,12 @@ def csv_chain(p: Sequence[int]) -> Iterator[Partition]:
     already has all ranks negative; the domain is checked at call time.
     """
     p = as_partition(p)
-    if delta(p) != 0 and not all_ranks(p, lambda r: r < 0):
+    if delta(p) != 0 and not rank_negative(p):
         raise ValueError("first two parts must agree (or all ranks be negative)")
 
     def stages(p):
         yield p
-        while not all_ranks(p, lambda r: r < 0):
+        while not rank_negative(p):
             p = csv_step(p)
             yield p
 

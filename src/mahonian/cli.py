@@ -7,8 +7,8 @@ failure, 2 usage error.  A usage error prints argparse's usage message or
 exactly one "error: " line: commands raise ValueError, KeyError or
 TypeError and main alone reports it.  The parameters an enumerate or
 genfun family takes are those of its callable's signature; --truncate
-fills a keyword-only parameter of that name (left unset, the callable's
-default holds) and is a usage error for a family without one.  verify
+is passed to the product families' keyword-only truncate (left unset,
+their default holds) and is a usage error for any other family.  verify
 checks its check names and bound flags before --all and --list too.  All
 computation is deterministic; --seed is accepted and ignored for harness
 compatibility.
@@ -151,17 +151,11 @@ def _signature(fn) -> tuple[tuple[str, ...], int, bool, tuple[str, ...]]:
     return names[:n], n - len(fn.__defaults__ or ()), bool(code.co_flags & _VARARGS), names[n:]
 
 
-def _call(fn, params: list, args, usage: str):
-    """fn(*params), its keyword-only parameters read from the options of
-    the same name in args that were given (an option left unset leaves fn
-    its default).  A parameter count that fn's signature does not take, or
-    a keyword-only parameter without a default left unset, is a usage
-    error showing usage."""
-    positional, required, varargs, keyword_only = _signature(fn)
-    options = {k: getattr(args, k) for k in keyword_only if getattr(args, k) is not None}
-    defaults = fn.__kwdefaults__ or {}
-    fits = required <= len(params) and (varargs or len(params) <= len(positional))
-    if not fits or not all(k in options or k in defaults for k in keyword_only):
+def _call(fn, params: list, usage: str, options: dict):
+    """fn(*params, **options); a parameter count that fn's signature does
+    not take is a usage error showing usage."""
+    positional, required, varargs, _ = _signature(fn)
+    if not (required <= len(params) and (varargs or len(params) <= len(positional))):
         raise ValueError(f"wrong number of parameters; usage: {usage}")
     return fn(*params, **options)
 
@@ -170,7 +164,7 @@ def _cmd_enumerate(args) -> int:
     if args.limit is not None and args.limit < 0:
         raise ValueError(f"limit must be nonnegative, got {args.limit}")
     usage, stream, fmt = FAMILIES[args.family]
-    items = list(itertools.islice(_call(stream, args.params, args, usage), args.limit))
+    items = list(itertools.islice(_call(stream, args.params, usage, {}), args.limit))
     if args.json:
         print(json.dumps({"family": args.family, "items": [fmt(x) for x in items], "count": len(items)}))
     else:
@@ -201,10 +195,11 @@ def _cmd_genfun(args) -> int:
     name = args.family
     fn = _GENFUN[name]
     positional, _, _, keyword_only = _signature(fn)
-    if args.truncate is not None and "truncate" not in keyword_only:
+    options = {} if args.truncate is None else {"truncate": args.truncate}
+    if options and "truncate" not in keyword_only:
         raise ValueError(f"--truncate applies only to the product families, not to {name}")
     usage = [name, *(k.upper() for k in positional)]
-    poly = _call(fn, [int(x) for x in args.params], args, " ".join(usage))
+    poly = _call(fn, [int(x) for x in args.params], " ".join(usage), options)
     if args.json:
         print(json.dumps({"family": name, "poly": str(poly), "terms": poly.to_json()}))
     else:

@@ -65,12 +65,6 @@ class Laurent:
     def const(cls, c: int) -> "Laurent":
         return cls({_ZEROEXP: c}) if c else cls()
 
-    @classmethod
-    def variable(cls, name: str) -> "Laurent":
-        e = [0] * _NVARS
-        e[VARS.index(name)] = 1
-        return cls({tuple(e): 1})
-
     def __bool__(self) -> bool:
         return bool(self._terms)
 
@@ -116,8 +110,6 @@ class Laurent:
 
     def __mul__(self, other: "Laurent | int") -> "Laurent":
         if isinstance(other, int):
-            if other == 0:
-                return Laurent()
             return Laurent({e: c * other for e, c in self._terms.items()})
         out: dict[tuple[int, ...], int] = {}
         for e1, c1 in self._terms.items():
@@ -312,7 +304,7 @@ def monomial(coeff: int = 1, q: int = 0, t: int = 0, z: int = 0, s: int = 0) -> 
 
 ZERO = Laurent()
 ONE = Laurent.const(1)
-Q = Laurent.variable("q")
-T = Laurent.variable("t")
-Z = Laurent.variable("z")
-S = Laurent.variable("s")
+Q = monomial(q=1)
+T = monomial(t=1)
+Z = monomial(z=1)
+S = monomial(s=1)

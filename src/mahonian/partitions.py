@@ -26,13 +26,14 @@ def as_partition(parts: Sequence[int]) -> Partition:
 
 
 def parse_partition(text: str) -> Partition:
-    """Parse "(8,8,6,5,2,1)"; "()" and "" denote the empty partition."""
+    """Parse "(8,8,6,5,2,1)"; "()" and "" denote the empty partition.
+    Anything else, a bare number or comma list included, raises
+    ValueError."""
     text = text.strip()
-    if text.startswith("(") and text.endswith(")"):
-        text = text[1:-1]
-    if not text:
-        return ()
-    return as_partition(int(p) for p in text.split(","))
+    if text and not (text.startswith("(") and text.endswith(")")):
+        raise ValueError(f"partition must be written (p1,...,pk), got {text!r}")
+    text = text[1:-1]
+    return as_partition(int(p) for p in text.split(",")) if text else ()
 
 
 def format_partition(p: Sequence[int]) -> str:
@@ -99,6 +100,13 @@ def max_rank(p: Sequence[int]) -> int | None:
 def all_ranks(p: Sequence[int], pred) -> bool:
     """True iff every successive rank satisfies pred (vacuously true)."""
     return all(pred(r) for r in ranks(p))
+
+
+def rank_negative(p: Sequence[int]) -> bool:
+    """True iff every successive rank is negative (vacuously true): the
+    all-ranks-negative class, which is the ballot image, the Catalan box
+    and the codomain of the rank reduction."""
+    return all(r < 0 for r in ranks(p))
 
 
 def ferrers(p: Sequence[int]) -> str:
@@ -232,7 +240,7 @@ def partitions_by_boundary_length(max_len: int) -> Iterator[Partition]:
 
 def rank_negative_in_box(rows: int, cols: int) -> Iterator[Partition]:
     """Partitions in the box with every successive rank negative."""
-    return (p for p in partitions_in_box(rows, cols) if all_ranks(p, lambda r: r < 0))
+    return (p for p in partitions_in_box(rows, cols) if rank_negative(p))
 
 
 def rank_at_least(t: int, max_size: int) -> Iterator[Partition]:

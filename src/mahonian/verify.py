@@ -397,7 +397,7 @@ def _chk_excess_rank(max_len):
 
 
 def _path_ranks_negative(w):
-    return P.all_ranks(P.partition_of_word(w), lambda r: r < 0)
+    return P.rank_negative(P.partition_of_word(w))
 
 
 @_register(
@@ -416,16 +416,7 @@ def _ballot_preimage_condition(v, k, l):
     """The run-exponent inequalities under which a rearrangement v of
     1^k 2^l has a ballot image; the excess k - l enters the two's side."""
     om, ta = W.ones_twos_compositions(v)
-    if sum(om) != k or sum(ta) != l:
-        return False
-    d = len(om) - 1
-    am = an = 0
-    for i in range(1, d + 1):
-        am += om[d - i + 1]
-        an += ta[d - i + 1]
-        if am < 2 * i or an + (k - l) < 2 * i - 1:
-            return False
-    return True
+    return B.suffix_sums_reach(om, 0) and B.suffix_sums_reach(ta, 1 + k - l)
 
 
 def _check_ballot_preimages(k, l, prefix):
@@ -691,10 +682,10 @@ def _chk_fib_three_way(max_n):
 )
 def _chk_fib_image(max_n):
     def image_member(w):
-        n, k = len(w), w.count(1)
+        # w is a rearrangement of 1^k 2^(n-k), so its path partition fits
+        # the k x (n-k) box and the first-part bound lam_1 <= n-k holds
+        k = w.count(1)
         lam = P.partition_of_word(w)
-        if lam and lam[0] > n - k:
-            return False
         return k < 2 or (len(lam) == k and lam[k - 1] >= k - 1)
 
     for n in range(max_n + 1):
@@ -818,7 +809,7 @@ def _chk_infinite_images(max_len):
         if in_w21 != (lam is not None):
             raise Counterexample(f"21-suffix case fails at v={W.format_word(v)}")
         in_b21 = in_w21 and W.is_ballot(v)
-        rhs_b = lam is not None and P.all_ranks(lam, lambda r: r < 0)
+        rhs_b = lam is not None and P.rank_negative(lam)
         if in_b21 != rhs_b:
             raise Counterexample(f"ballot case fails at v={W.format_word(v)}")
         in_w121 = v == () or v[-3:] == (1, 2, 1)
@@ -839,11 +830,7 @@ def _chk_wslat(max_len):
     part_stats = {"q": P.size, "t": P.durfee, "z": lambda lam: P.max_rank(lam) + 1 if lam else 0}
     cases = [
         ("all partitions", W.suffix_words((2, 1), max_len), lambda lam: True),
-        (
-            "all ranks negative",
-            W.ballot_suffix_words((2, 1), max_len),
-            lambda lam: P.all_ranks(lam, lambda r: r < 0),
-        ),
+        ("all ranks negative", W.ballot_suffix_words((2, 1), max_len), P.rank_negative),
         ("equal first parts", W.suffix_words((1, 2, 1), max_len), lambda lam: P.delta(lam) == 0),
     ]
     for label, stream, pred in cases:
@@ -979,7 +966,7 @@ def _chk_csv_example():
 def _chk_csv_bijection(max_size, count_size):
     for n in range(count_size + 1):
         d0 = sum(1 for p in P.partitions_of(n) if P.delta(p) == 0)
-        rn = sum(1 for p in P.partitions_of(n) if P.all_ranks(p, lambda r: r < 0))
+        rn = sum(1 for p in P.partitions_of(n) if P.rank_negative(p))
         if d0 != rn:
             raise Counterexample(f"counts differ at n={n}: {d0} vs {rn}")
     for n in range(max_size + 1):
@@ -1004,7 +991,7 @@ def _chk_csv_bijection(max_size, count_size):
             if q in image:
                 raise Counterexample(f"not injective at {P.format_partition(p)}")
             image.add(q)
-        target = {p for p in P.partitions_of(n) if P.all_ranks(p, lambda r: r < 0)}
+        target = {p for p in P.partitions_of(n) if P.rank_negative(p)}
         _check_sets(image, target, P.format_partition, f"n={n}")
 
 

@@ -352,6 +352,9 @@ def test_domain_errors_are_usage_errors(capsys):
         ["enumerate", "first-difference", "0", "-1"],
         ["map", "gk", "121", "--trace"],
         ["map", "boundary", "(2,1)", "--trace"],
+        # a word typed where a partition belongs, not the one-part (112211212)
+        ["map", "boundary", "112211212"],
+        ["map", "csv", "112211212"],
         ["verify", "--all", "no-such-check"],
         ["verify", "--list", "no-such-check", "--degree", "3"],
         ["genfun", "qbinom", "4", "2", "--truncate", "1"],

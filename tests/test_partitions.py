@@ -81,6 +81,10 @@ def test_parse_format():
     assert format_partition((3, 2, 2)) == "(3,2,2)"
     with pytest.raises(ValueError):
         parse_partition("(1,2)")
+    # only the parenthesized form: a bare number is not a one-part partition
+    for bare in ("112211212", "3,2,2", "3", "(3,2", "3,2)"):
+        with pytest.raises(ValueError, match=r"^partition must be written \(p1,...,pk\), got "):
+            parse_partition(bare)
 
 
 def test_lambda_of_word():
