@@ -16,7 +16,7 @@ import itertools
 from collections import Counter
 from collections.abc import Callable, Iterable, Mapping
 
-from .laurent import ONE, VARS, ZERO, Laurent, monomial
+from .laurent import ONE, S, T, ZERO, Laurent, monomial, sum_of_products, var_index
 from .words import des, fibonacci_words, maj
 
 # ---------------------------------------------------------------------------
@@ -32,7 +32,7 @@ def distribution(items: Iterable, stats: Mapping[str, Callable]) -> Laurent:
     statistics run in mapping order; Counter counts the tuples of values,
     and each distinct tuple is written into its exponent vector once.
     """
-    slots = [VARS.index(name) for name in stats]
+    slots = [var_index(name) for name in stats]
     if not slots:
         return Laurent.const(sum(1 for _ in items))
     streams = itertools.tee(items, len(slots)) if len(slots) > 1 else (iter(items),)
@@ -207,7 +207,7 @@ def fib_poly(n: int) -> Laurent:
     if n == 0:
         return a
     for m in range(2, n + 1):
-        a, b = b, b + monomial(1, q=m - 1, t=1) * a
+        a, b = b, sum_of_products(((ONE, b), (monomial(1, q=m - 1, t=1), a)))
     return b
 
 
@@ -217,16 +217,18 @@ def fib_poly_enumerated(n: int) -> Laurent:
 
 def fib_poly_closed(n: int) -> Laurent:
     """Closed form: sum over k of
-    q^(k(k-1)) t^(k-1) ( [n-k, k-1] + q^k t [n-k, k] )."""
+    q^(k(k-1)) t^(k-1) [n-k, k-1] + q^(k^2) t^k [n-k, k]."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    total = ZERO
     # [n-k, k-1] or [n-k, k] is nonzero exactly for k <= (n+1)/2
-    for k in range((n + 1) // 2 + 1):
-        b1 = q_binomial(n - k, k - 1)
-        b2 = q_binomial(n - k, k)
-        total = total + monomial(1, q=k * (k - 1), t=k - 1) * (b1 + monomial(1, q=k, t=1) * b2)
-    return total
+    return sum_of_products(
+        pair
+        for k in range((n + 1) // 2 + 1)
+        for pair in (
+            (monomial(1, q=k * (k - 1), t=k - 1), q_binomial(n - k, k - 1)),
+            (monomial(1, q=k * k, t=k), q_binomial(n - k, k)),
+        )
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -237,11 +239,9 @@ def _lucas_polys(n: int) -> list[Laurent]:
     """[{0}, {1}, ..., {n}]."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    s = monomial(1, s=1)
-    t = monomial(1, t=1)
     out = [ZERO, ONE]
     while len(out) <= n:
-        out.append(s * out[-1] + t * out[-2])
+        out.append(sum_of_products(((S, out[-1]), (T, out[-2]))))
     return out[: n + 1]
 
 
@@ -274,7 +274,7 @@ def lucanomial(n: int, k: int) -> Laurent:
     if k < 0 or k > n:
         return ZERO
     luc = _lucas_polys(n)
-    t_luc = [monomial(1, t=1) * poly for poly in luc]
+    t_luc = [T * poly for poly in luc]
     row = {0: ONE}
     for m in range(1, n + 1):
         new = {}
@@ -282,7 +282,7 @@ def lucanomial(n: int, k: int) -> Laurent:
             if j == 0 or j == m:
                 new[j] = ONE
             else:
-                new[j] = luc[j + 1] * row[j] + t_luc[m - j - 1] * row[j - 1]
+                new[j] = sum_of_products(((luc[j + 1], row[j]), (t_luc[m - j - 1], row[j - 1])))
         row = new
     return row[k]
 

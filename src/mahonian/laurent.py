@@ -5,27 +5,38 @@ Terms live in a private dict mapping length-4 integer exponent vectors
 the read-only terms mapping, so a polynomial never changes and is safe to
 hash.  Coefficients are plain Python ints, so there is no overflow.
 Equality is term-map equality and zero coefficients are never stored;
-a polynomial is false exactly when it is zero.
+a polynomial is false exactly when it is zero.  Laurent(terms) raises
+ValueError on a key that is not a tuple of four ints; the internal
+builders skip that check.
 
 Polynomials are written out by str() and to_json() and are never parsed
 back: build them from the constants Q, T, Z, S, ONE and monomial().
 
 Every operation is generic in the four variables, since the checks and
-the benchmark read them as oracles for the q-only recurrences:
+the benchmark read them as oracles for the q-only recurrences.  All
+multiplication is one inner loop, _mul_into, which adds the product of
+two term maps into a dict over unpacked exponent 4-tuples, dropping the
+coefficients that cancel; a one-term factor is a shift, stored straight
+into an empty dict.  Its readers:
 
-- products add unpacked exponent 4-tuples term by term, and powers are
-  left-to-right binary powering;
-- divide_exact eliminates leading terms in lexicographic order, each
-  step cancelling the current lead exactly, so every quotient term is
+- products, so powers (left-to-right binary powering) and the power
+  tables of substitute, and sums, which add one polynomial times 1 into
+  a copy of the other;
+- sum_of_products, which accumulates a sum of products in one dict, for
+  the recurrences in genfun;
+- divide_exact, which eliminates leading terms in lexicographic order,
+  each step subtracting the divisor's other terms times the new
+  quotient term from the remainder in place, so every quotient term is
   written once;
-- substitute groups the terms by their exponents in the mapped
-  variables, tables each target's powers once, and makes one product
-  per group, summed into a single dict.
+- substitute, which groups the terms by their exponents in the mapped
+  variables, tables each target's powers once, and multiplies each
+  group's factors smallest first, the last product accumulated straight
+  into the output.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from types import MappingProxyType
 
 VARS = ("q", "t", "z", "s")
@@ -41,10 +52,11 @@ class Laurent:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[tuple[int, ...], int] | None = None):
-        if terms:
-            self._terms = {tuple(e): c for e, c in terms.items() if c}
-        else:
-            self._terms = {}
+        terms = terms or {}
+        for e in terms:
+            if not (isinstance(e, tuple) and len(e) == _NVARS and all(isinstance(x, int) for x in e)):
+                raise ValueError(f"exponent vector {e!r} is not a tuple of {_NVARS} ints")
+        self._terms = {e: c for e, c in terms.items() if c}
 
     @property
     def terms(self) -> Mapping[tuple[int, ...], int]:
@@ -63,7 +75,7 @@ class Laurent:
 
     @classmethod
     def const(cls, c: int) -> "Laurent":
-        return cls({_ZEROEXP: c}) if c else cls()
+        return cls._of({_ZEROEXP: c} if c else {})
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -84,25 +96,16 @@ class Laurent:
         return hash(frozenset(self._terms.items()))
 
     def __neg__(self) -> "Laurent":
-        return Laurent({e: -c for e, c in self._terms.items()})
+        return Laurent._of({e: -c for e, c in self._terms.items()})
 
     def __add__(self, other: "Laurent | int") -> "Laurent":
         if isinstance(other, int):
             other = Laurent.const(other)
-        out = dict(self._terms)
-        for e, c in other._terms.items():
-            nc = out.get(e, 0) + c
-            if nc:
-                out[e] = nc
-            else:
-                out.pop(e, None)
-        return Laurent._of(out)
+        return Laurent._of(_mul_into(dict(self._terms), _UNIT, other._terms))
 
     __radd__ = __add__
 
     def __sub__(self, other: "Laurent | int") -> "Laurent":
-        if isinstance(other, int):
-            other = Laurent.const(other)
         return self + (-other)
 
     def __rsub__(self, other: int) -> "Laurent":
@@ -110,17 +113,8 @@ class Laurent:
 
     def __mul__(self, other: "Laurent | int") -> "Laurent":
         if isinstance(other, int):
-            return Laurent({e: c * other for e, c in self._terms.items()})
-        out: dict[tuple[int, ...], int] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2], e1[3] + e2[3])
-                nc = out.get(e, 0) + c1 * c2
-                if nc:
-                    out[e] = nc
-                else:
-                    del out[e]
-        return Laurent._of(out)
+            return Laurent._of({e: c * other for e, c in self._terms.items() if other})
+        return Laurent._of(_mul_into({}, self._terms, other._terms))
 
     __rmul__ = __mul__
 
@@ -138,8 +132,7 @@ class Laurent:
             (e, c) = next(iter(self._terms.items()))
             if c not in (1, -1):
                 raise ValueError("negative power needs coefficient +-1")
-            inv = Laurent({tuple(-x for x in e): c})
-            return inv ** (-n)
+            return Laurent._of({tuple(-x for x in e): c}) ** -n
         if n == 0:
             return Laurent.const(1)
         result = self
@@ -155,12 +148,13 @@ class Laurent:
         """Quotient self/divisor, which must be exact.
 
         Repeated leading-term elimination in lexicographic order: each
-        step subtracts qc*x^qe*divisor, which cancels the remainder's
-        leading term exactly, so the leads strictly decrease and every
-        quotient term is written once.  A nonzero remainder raises
-        ExactDivisionError; so does a quotient exponent outside the
-        per-variable valuation bounds, which stops an inexact division
-        instead of letting it diverge.
+        step pops the remainder's leading term, which qc*x^qe times the
+        divisor's lead cancels exactly, and subtracts qc*x^qe times the
+        divisor's other terms from the remainder in place, so the leads
+        strictly decrease and every quotient term is written once.  A
+        nonzero remainder raises ExactDivisionError; so does a quotient
+        exponent outside the per-variable valuation bounds, which stops
+        an inexact division instead of letting it diverge.
         """
         if not divisor:
             raise ZeroDivisionError("division by the zero polynomial")
@@ -176,7 +170,7 @@ class Laurent:
         )
         d0, d1, d2, d3 = dlead = max(divisor._terms)
         dcoef = divisor._terms[dlead]
-        rest = [(*e, c) for e, c in divisor._terms.items() if e != dlead]
+        rest = {e: c for e, c in divisor._terms.items() if e != dlead}
         rem = dict(self._terms)
         quo: dict[tuple[int, ...], int] = {}
         while rem:
@@ -188,13 +182,7 @@ class Laurent:
             ):
                 raise ExactDivisionError(f"nonzero remainder dividing {self} by {divisor}")
             quo[q0, q1, q2, q3] = qc
-            for e0, e1, e2, e3, c in rest:
-                key = (q0 + e0, q1 + e1, q2 + e2, q3 + e3)
-                nc = rem.get(key, 0) - qc * c
-                if nc:
-                    rem[key] = nc
-                else:
-                    del rem[key]
+            _mul_into(rem, {(q0, q1, q2, q3): -qc}, rest)
         return Laurent._of(quo)
 
     def substitute(self, mapping: Mapping[str, "Laurent"]) -> "Laurent":
@@ -204,13 +192,14 @@ class Laurent:
         variables, leaving one residual polynomial in the other variables
         per group.  Each target's powers are tabled once, by successive
         products up to the largest exponent in use (and by powers of
-        target**-1 below zero), and each group is one product of its
-        residual with its table entries, summed into a single dict.
+        target**-1 below zero).  Each group multiplies its residual and
+        its table entries smallest first, the last product added straight
+        into the output, so no group builds a polynomial.
 
         A variable occurring with negative exponents may only receive a
         unit monomial (otherwise the result is not a Laurent polynomial).
         """
-        mapped = [VARS.index(name) for name in mapping]
+        mapped = [var_index(name) for name in mapping]
         groups: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
         for e, c in self._terms.items():
             residual = list(e)
@@ -223,16 +212,12 @@ class Laurent:
         ]
         out: dict[tuple[int, ...], int] = {}
         for ks, residual in groups.items():
-            term = Laurent._of(residual)
-            for table, k in zip(tables, ks):
-                if k:
-                    term = term * table[k]
-            for e, c in term._terms.items():
-                nc = out.get(e, 0) + c
-                if nc:
-                    out[e] = nc
-                else:
-                    del out[e]
+            factors = [residual, *(table[k]._terms for table, k in zip(tables, ks) if k)]
+            *head, last = sorted(factors, key=len)
+            term = head.pop(0) if head else _UNIT
+            for factor in head:
+                term = _mul_into({}, term, factor)
+            _mul_into(out, term, last)
         return Laurent._of(out)
 
     # -- queries -------------------------------------------------------------
@@ -242,8 +227,8 @@ class Laurent:
 
     def truncate(self, var: str, max_degree: int) -> "Laurent":
         """Drop terms whose exponent of var exceeds max_degree."""
-        i = VARS.index(var)
-        return Laurent({e: c for e, c in self._terms.items() if e[i] <= max_degree})
+        i = var_index(var)
+        return Laurent._of({e: c for e, c in self._terms.items() if e[i] <= max_degree})
 
     # -- serialization -------------------------------------------------------
 
@@ -279,6 +264,48 @@ class Laurent:
         ]
 
 
+def var_index(name: str) -> int:
+    """The position of the variable name in an exponent vector."""
+    if name not in VARS:
+        raise ValueError(f"unknown variable {name!r}, not one of {VARS}")
+    return VARS.index(name)
+
+
+def _mul_into(out: dict, a: Mapping, b: Mapping) -> dict:
+    """Add the product of the term maps a and b into out and return out,
+    deleting every coefficient that cancels to zero.
+
+    The shorter map is the outer loop.  A one-term factor is a shift:
+    into an empty out its partner's shifted terms are stored straight,
+    since a shift keeps exponents distinct and coefficients nonzero.
+    """
+    if len(a) > len(b):
+        a, b = b, a
+    if len(a) == 1 and not out:
+        (((a0, a1, a2, a3), ca),) = a.items()
+        for (b0, b1, b2, b3), cb in b.items():
+            out[a0 + b0, a1 + b1, a2 + b2, a3 + b3] = ca * cb
+        return out
+    get = out.get
+    for (a0, a1, a2, a3), ca in a.items():
+        for (b0, b1, b2, b3), cb in b.items():
+            e = (a0 + b0, a1 + b1, a2 + b2, a3 + b3)
+            c = get(e, 0) + ca * cb
+            if c:
+                out[e] = c
+            else:
+                del out[e]
+    return out
+
+
+def sum_of_products(pairs: Iterable[tuple[Laurent, Laurent]]) -> Laurent:
+    """The sum of a*b over the pairs (a, b), accumulated in one dict."""
+    out: dict[tuple[int, ...], int] = {}
+    for a, b in pairs:
+        _mul_into(out, a._terms, b._terms)
+    return Laurent._of(out)
+
+
 def _power_table(target: Laurent, exponents: list[int]) -> dict[int, Laurent]:
     """target**k for every nonzero k between the least and the largest of
     the exponents, by successive products (with target**-1 below zero,
@@ -287,19 +314,17 @@ def _power_table(target: Laurent, exponents: list[int]) -> dict[int, Laurent]:
     table = {}
     power = ONE
     for k in range(1, hi + 1):
-        power = power * target
-        table[k] = power
+        power = table[k] = power * target
     if lo < 0:
         inverse = target**-1
         power = ONE
         for k in range(-1, lo - 1, -1):
-            power = power * inverse
-            table[k] = power
+            power = table[k] = power * inverse
     return table
 
 
 def monomial(coeff: int = 1, q: int = 0, t: int = 0, z: int = 0, s: int = 0) -> Laurent:
-    return Laurent({(q, t, z, s): coeff})
+    return Laurent._of({(q, t, z, s): coeff} if coeff else {})
 
 
 ZERO = Laurent()
@@ -308,3 +333,4 @@ Q = monomial(q=1)
 T = monomial(t=1)
 Z = monomial(z=1)
 S = monomial(s=1)
+_UNIT = ONE._terms

@@ -1,6 +1,9 @@
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mahonian.genfun import distribution
 from mahonian.laurent import (
     ONE,
     Q,
@@ -10,7 +13,9 @@ from mahonian.laurent import (
     ZERO,
     ExactDivisionError,
     Laurent,
+    _mul_into,
     monomial,
+    sum_of_products,
 )
 
 exponents = st.tuples(*[st.integers(min_value=-3, max_value=3)] * 4)
@@ -146,9 +151,9 @@ def test_substitute_edge_cases():
     # mapped variables the polynomial lacks, even to a non-invertible target
     assert p.substitute({"s": ONE + Q, "z": ZERO}) == p
     assert p.substitute({"s": ONE + Q, "t": ONE}) == ONE + Q - monomial(3, q=2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="negative power of a non-monomial"):
         p.substitute({"t": ONE + Q})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"unknown variable 'x', not one of \('q', 't', 'z', 's'\)"):
         p.substitute({"x": Q})
 
 
@@ -227,3 +232,119 @@ def test_terms_are_read_only():
         p.terms = {}
     assert p == ONE + Q and hash(p) == key
     assert dict(p.terms) == {(0, 0, 0, 0): 1, (1, 0, 0, 0): 1}
+
+
+@pytest.mark.parametrize(
+    "key",
+    [(1, 2), (1, 2, 0, 0, 7), (), (1.0, 0, 0, 0), (0, 0, 0.5, 0), ("q", 0, 0, 0), "qtzs", 7],
+)
+def test_constructor_rejects_malformed_exponent_vectors(key):
+    with pytest.raises(ValueError, match=f"exponent vector {re.escape(repr(key))} is not a tuple of 4 ints"):
+        Laurent({key: 1})
+    # also beside a well-formed key, and with a zero coefficient
+    with pytest.raises(ValueError):
+        Laurent({(0, 0, 0, 0): 1, key: 0})
+
+
+def test_constructor_keeps_well_formed_terms():
+    assert Laurent({(1, 2, 0, 0): 3, (0, 0, 0, -1): 0}).terms == {(1, 2, 0, 0): 3}
+    assert Laurent(monomial(2, q=1, s=-1).terms) == monomial(2, q=1, s=-1)
+    assert Laurent({}) == Laurent(None) == ZERO
+
+
+def test_unknown_variable_names_the_variable():
+    message = r"unknown variable 'x', not one of \('q', 't', 'z', 's'\)"
+    with pytest.raises(ValueError, match=message):
+        Q.truncate("x", 2)
+    with pytest.raises(ValueError, match=message):
+        distribution([(1,), (2, 1)], {"x": len})
+
+
+def _product_terms(a, b):
+    """The product's term map by the textbook double loop."""
+    out = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+@given(polys, polys, polys)
+@settings(max_examples=60)
+def test_mul_into_adds_the_product(acc, a, b):
+    # equal term maps, so no coefficient that cancelled is left as a zero
+    want = (acc + Laurent(_product_terms(a, b))).terms
+    assert _mul_into(dict(acc.terms), a.terms, b.terms) == want
+    assert _mul_into(dict(acc.terms), b.terms, a.terms) == want
+
+
+@given(polys, st.lists(st.tuples(polys, polys), max_size=4))
+@settings(max_examples=60)
+def test_sum_of_products_is_the_summed_products(first, pairs):
+    total = ZERO
+    for a, b in pairs:
+        total = total + a * b
+    assert sum_of_products(pairs) == total
+    assert sum_of_products(iter(pairs)) == total
+    # a one-term factor on either side of a pair, first or later
+    mono = monomial(-3, q=2, t=-1, s=1)
+    assert sum_of_products([(mono, first), *pairs]) == mono * first + total
+    assert sum_of_products([*pairs, (first, mono)]) == total + mono * first
+
+
+@given(polys, st.sampled_from([ONE, -T, monomial(5, q=-2, z=3), monomial(-1, t=1, s=2)]))
+@settings(max_examples=60)
+def test_one_term_factor_is_a_shift_on_either_side(p, mono):
+    want = _product_terms(mono, p)
+    assert (mono * p).terms == want
+    assert (p * mono).terms == want
+    assert _mul_into({}, mono.terms, p.terms) == want
+    assert _mul_into({}, p.terms, mono.terms) == want
+
+
+def test_cancellation_leaves_no_zero_coefficient():
+    assert (ONE + Q) * (ONE - Q) == ONE - Q**2
+    assert ((ONE + Q) * (ONE - Q)).terms.keys() == {(0, 0, 0, 0), (2, 0, 0, 0)}
+    assert not sum_of_products([(Q, T), (-T, Q)]).terms
+    # into a nonempty out, by a one-term factor and by a longer one
+    assert _mul_into({(1, 1, 0, 0): 1}, (-Q).terms, T.terms) == {}
+    assert _mul_into({(1, 0, 0, 0): 2, (0, 0, 0, 0): 1}, (ONE + Q).terms, (-ONE - Q).terms) == {
+        (2, 0, 0, 0): -1
+    }
+
+
+def test_empty_operands():
+    p = ONE + 2 * Q - T
+    assert (ZERO * p).terms == (p * ZERO).terms == {}
+    assert sum_of_products([]) == ZERO
+    assert sum_of_products([(ZERO, p), (p, ZERO), (ZERO, ZERO)]) == ZERO
+    out = {(0, 0, 0, 0): 4}
+    assert _mul_into(out, {}, p.terms) is out and out == {(0, 0, 0, 0): 4}
+    assert _mul_into(out, p.terms, {}) == {(0, 0, 0, 0): 4}
+    assert _mul_into({}, {}, {}) == {}
+
+
+def test_substitute_multiplies_only_to_table_powers(monkeypatch):
+    # 20 groups of mapped exponents (s^i t^j), each with a residual in q
+    p = sum_of_products((monomial(i + 1, s=i, t=j), ONE + Q) for i in range(5) for j in range(4))
+    mapping = {"s": ONE + Q, "t": -Q}
+    want = _expand(p, mapping)
+    counts = {"mul": 0, "of": 0}
+    mul, of = Laurent.__mul__, Laurent._of.__func__
+
+    def counting_mul(self, other):
+        counts["mul"] += 1
+        return mul(self, other)
+
+    def counting_of(cls, terms):
+        counts["of"] += 1
+        return of(cls, terms)
+
+    monkeypatch.setattr(Laurent, "__mul__", counting_mul)
+    monkeypatch.setattr(Laurent, "_of", classmethod(counting_of))
+    assert p.substitute(mapping) == want
+    # the tables hold s^1..s^4 and t^1..t^3, one product each
+    assert counts["mul"] == 4 + 3
+    # one polynomial per table entry and one for the output
+    assert counts["of"] == counts["mul"] + 1
