@@ -207,7 +207,7 @@ def fib_poly(n: int) -> Laurent:
     if n == 0:
         return a
     for m in range(2, n + 1):
-        a, b = b, sum_of_products(((ONE, b), (monomial(1, q=m - 1, t=1), a)))
+        a, b = b, b + monomial(1, q=m - 1, t=1) * a
     return b
 
 

@@ -16,12 +16,10 @@ Every operation is generic in the four variables, since the checks and
 the benchmark read them as oracles for the q-only recurrences.  All
 multiplication is one inner loop, _mul_into, which adds the product of
 two term maps into a dict over unpacked exponent 4-tuples, dropping the
-coefficients that cancel; a one-term factor is a shift, stored straight
-into an empty dict.  Its readers:
+coefficients that cancel.  Its readers:
 
 - products, so powers (left-to-right binary powering) and the power
-  tables of substitute, and sums, which add one polynomial times 1 into
-  a copy of the other;
+  tables of substitute;
 - sum_of_products, which accumulates a sum of products in one dict, for
   the recurrences in genfun;
 - divide_exact, which eliminates leading terms in lexicographic order,
@@ -101,7 +99,14 @@ class Laurent:
     def __add__(self, other: "Laurent | int") -> "Laurent":
         if isinstance(other, int):
             other = Laurent.const(other)
-        return Laurent._of(_mul_into(dict(self._terms), _UNIT, other._terms))
+        out = dict(self._terms)
+        for e, c in other._terms.items():
+            nc = out.get(e, 0) + c
+            if nc:
+                out[e] = nc
+            else:
+                del out[e]
+        return Laurent._of(out)
 
     __radd__ = __add__
 
@@ -275,17 +280,10 @@ def _mul_into(out: dict, a: Mapping, b: Mapping) -> dict:
     """Add the product of the term maps a and b into out and return out,
     deleting every coefficient that cancels to zero.
 
-    The shorter map is the outer loop.  A one-term factor is a shift:
-    into an empty out its partner's shifted terms are stored straight,
-    since a shift keeps exponents distinct and coefficients nonzero.
+    The shorter map is the outer loop.
     """
     if len(a) > len(b):
         a, b = b, a
-    if len(a) == 1 and not out:
-        (((a0, a1, a2, a3), ca),) = a.items()
-        for (b0, b1, b2, b3), cb in b.items():
-            out[a0 + b0, a1 + b1, a2 + b2, a3 + b3] = ca * cb
-        return out
     get = out.get
     for (a0, a1, a2, a3), ca in a.items():
         for (b0, b1, b2, b3), cb in b.items():
