@@ -27,6 +27,7 @@ from .words import (
     require_binary,
     reverse_complement,
     walk,
+    word_from_compositions,
 )
 
 
@@ -104,24 +105,16 @@ def _compositions(total: int, mins: Sequence[int]) -> Iterator[tuple[int, ...]]:
 
 
 def ones_compositions(n: int, d: int) -> Iterator[tuple[int, ...]]:
-    """All one's compositions with d+1 entries summing to n."""
+    """All one's compositions with d+1 entries summing to n; none when d < 0."""
+    # [1] * d is empty for every d <= 0, so the length test keeps d < 0 empty
     mins = [0] + [1] * d
-    return (c for c in _compositions(n, mins) if is_ones_composition(c))
+    return (c for c in _compositions(n, mins) if len(c) == d + 1 and is_ones_composition(c))
 
 
 def twos_compositions(n: int, d: int) -> Iterator[tuple[int, ...]]:
-    """All two's compositions with d+1 entries summing to n."""
+    """All two's compositions with d+1 entries summing to n; none when d < 0."""
     mins = [1] * d + [0]
-    return (c for c in _compositions(n, mins) if is_twos_composition(c))
-
-
-def _runs_of_ones(runs: Sequence[int]) -> Word:
-    """The word 1^r0 2 1^r1 2 ... 2 1^rk: runs of ones separated by
-    single twos."""
-    out = [1] * runs[0]
-    for r in runs[1:]:
-        out += [2] + [1] * r
-    return tuple(out)
+    return (c for c in _compositions(n, mins) if len(c) == d + 1 and is_twos_composition(c))
 
 
 def ones_composition_word(comp: Sequence[int]) -> Word:
@@ -129,7 +122,8 @@ def ones_composition_word(comp: Sequence[int]) -> Word:
     comp = tuple(comp)
     if not is_ones_composition(comp):
         raise ValueError(f"not a valid one's composition: {comp}")
-    return _runs_of_ones([c - 1 for c in reversed(comp[1:])] + [comp[0]])
+    runs = [c - 1 for c in reversed(comp[1:])] + [comp[0]]
+    return word_from_compositions(runs, (1,) * (len(comp) - 1) + (0,))
 
 
 def twos_composition_word(comp: Sequence[int]) -> Word:
@@ -137,7 +131,8 @@ def twos_composition_word(comp: Sequence[int]) -> Word:
     comp = tuple(comp)
     if not is_twos_composition(comp):
         raise ValueError(f"not a valid two's composition: {comp}")
-    return _runs_of_ones([comp[-1]] + [c - 1 for c in reversed(comp[:-1])])
+    runs = [comp[-1]] + [c - 1 for c in reversed(comp[:-1])]
+    return word_from_compositions(runs, (1,) * (len(comp) - 1) + (0,))
 
 
 # ---------------------------------------------------------------------------

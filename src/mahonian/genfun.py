@@ -2,12 +2,18 @@
 q,t-Catalan polynomials of ballot words, Fibonacci-word polynomials,
 Lucas-sequence analogues, and truncated infinite products.
 
-Everything is exact; divisions assert a zero remainder.  The q-analogues
-are dense coefficient-list products, the Catalan triangle a dynamic
-program over ballot paths, and the Lucas binomials a Pascal-type
-recurrence, so none of them divides or enumerates; the factorial
-quotients and ballot-word enumerations they replace are the oracles the
-checks and tests compare them with.
+Everything is exact; divisions assert a zero remainder.  The q-factorials,
+Gaussian binomials and truncated products are dense coefficient-list
+products, the only routes here with their own coefficient loops, kept
+apart from the Laurent engine as oracles for it.  Every other route does
+its arithmetic in the engine, whose one multiplication loop is
+laurent._mul_into: each state of the Catalan triangle's dynamic program
+over ballot paths, each entry of the Lucas polynomials and of the
+Pascal-type recurrence for the Lucas binomials, the closed Fibonacci form
+and the Carlitz series (a sum of shifted truncated products) is one
+laurent.sum_of_products.  None of them divides or enumerates; the
+factorial quotients and ballot-word enumerations they replace are the
+oracles the checks and tests compare them with.
 """
 
 from __future__ import annotations
@@ -111,44 +117,34 @@ def q_binomial(n: int, k: int) -> Laurent:
 
 def _ballot_paths(ones: int, twos: int, one_step: Callable) -> Laurent:
     """Sum of q^x t^y over the ballot rearrangements of 1^ones 2^twos,
-    where a 2 adds nothing to (x, y) and a 1 adds one_step(letters before
-    it, twos before it, letter before it or 0).
+    where a 2 multiplies by 1 and a 1 by the monomial one_step(letters
+    before it, twos before it, letter before it or 0).
 
     The words are never built: each layer maps a prefix state (ones used,
-    twos used, last letter) to the exponent counts of the ballot prefixes
-    that reach it, so the cost is polynomial, not Catalan, in the length.
+    twos used, last letter) to the polynomial of the ballot prefixes that
+    reach it, the sum_of_products of its predecessors' polynomials and
+    step monomials, so the cost is polynomial, not Catalan, in the length.
     """
-    layer = {(0, 0, 0): {(0, 0): 1}}
+    layer = {(0, 0, 0): ONE}
     for _ in range(ones + twos):
-        nxt: dict[tuple[int, int, int], dict[tuple[int, int], int]] = {}
-        for (a, b, last), counts in layer.items():
-            steps = []
+        preds: dict[tuple[int, int, int], list[tuple[Laurent, Laurent]]] = {}
+        for (a, b, last), poly in layer.items():
             if a < ones:
-                steps.append(((a + 1, b, 1), one_step(a + b, b, last)))
+                preds.setdefault((a + 1, b, 1), []).append((poly, one_step(a + b, b, last)))
             if b < twos and b < a:
-                steps.append(((a, b + 1, 2), (0, 0)))
-            for state, (dx, dy) in steps:
-                acc = nxt.setdefault(state, {})
-                for (x, y), c in counts.items():
-                    key = (x + dx, y + dy)
-                    acc[key] = acc.get(key, 0) + c
-        layer = nxt
-    total: dict[tuple[int, ...], int] = {}
-    for counts in layer.values():
-        for (x, y), c in counts.items():
-            key = (x, y, 0, 0)
-            total[key] = total.get(key, 0) + c
-    return Laurent._of(total)
+                preds.setdefault((a, b + 1, 2), []).append((poly, ONE))
+        layer = {state: sum_of_products(pairs) for state, pairs in preds.items()}
+    return sum_of_products((poly, ONE) for poly in layer.values())
 
 
-def _maj_des_step(position: int, twos: int, last: int) -> tuple[int, int]:
+def _maj_des_step(position: int, twos: int, last: int) -> Laurent:
     # a 1 right after a 2 at position i closes a descent: q^i t
-    return (position, 1) if last == 2 else (0, 0)
+    return monomial(1, q=position, t=1) if last == 2 else ONE
 
 
-def _inv_step(position: int, twos: int, last: int) -> tuple[int, int]:
+def _inv_step(position: int, twos: int, last: int) -> Laurent:
     # a 1 after b twos is the right end of b inversions: q^b
-    return (twos, 0)
+    return monomial(1, q=twos)
 
 
 def catalan_nd_qt(n: int, d: int) -> Laurent:
@@ -319,13 +315,10 @@ def carlitz_series(degree: int) -> Laurent:
     """Truncation of sum over k of q^(k^2-k)/(q)_k, the stable limit of
     the t = 1 Fibonacci-word polynomials; 1/(q)_k is the truncated
     product over the parts 1..k."""
-    coeffs = [0] * (degree + 1)
-    k = 0
     # max(degree, 0): a negative degree still reaches truncated_product,
     # which rejects it
-    while k * (k - 1) <= max(degree, 0):
-        shift = k * (k - 1)
-        for (j, *_), c in truncated_product(range(1, k + 1), degree - shift).terms.items():
-            coeffs[shift + j] += c
-        k += 1
-    return _q_poly(coeffs)
+    ks = itertools.takewhile(lambda k: k * k - k <= max(degree, 0), itertools.count())
+    return sum_of_products(
+        (monomial(1, q=k * k - k), truncated_product(range(1, k + 1), degree - k * k + k))
+        for k in ks
+    )

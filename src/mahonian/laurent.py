@@ -5,9 +5,11 @@ Terms live in a private dict mapping length-4 integer exponent vectors
 the read-only terms mapping, so a polynomial never changes and is safe to
 hash.  Coefficients are plain Python ints, so there is no overflow.
 Equality is term-map equality and zero coefficients are never stored;
-a polynomial is false exactly when it is zero.  Laurent(terms) raises
-ValueError on a key that is not a tuple of four ints; the internal
-builders skip that check.
+a polynomial is false exactly when it is zero.  The public builders
+Laurent(terms), Laurent.const and monomial raise ValueError on an
+exponent vector that is not a tuple of four ints and on a coefficient or
+exponent that is not an int, so no float enters; the internal builders
+skip those checks.
 
 Polynomials are written out by str() and to_json() and are never parsed
 back: build them from the constants Q, T, Z, S, ONE and monomial().
@@ -51,9 +53,10 @@ class Laurent:
 
     def __init__(self, terms: Mapping[tuple[int, ...], int] | None = None):
         terms = terms or {}
-        for e in terms:
+        for e, c in terms.items():
             if not (isinstance(e, tuple) and len(e) == _NVARS and all(isinstance(x, int) for x in e)):
                 raise ValueError(f"exponent vector {e!r} is not a tuple of {_NVARS} ints")
+            _require_int(c)
         self._terms = {e: c for e, c in terms.items() if c}
 
     @property
@@ -73,7 +76,7 @@ class Laurent:
 
     @classmethod
     def const(cls, c: int) -> "Laurent":
-        return cls._of({_ZEROEXP: c} if c else {})
+        return cls._of({_ZEROEXP: c} if _require_int(c) else {})
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -321,7 +324,16 @@ def _power_table(target: Laurent, exponents: list[int]) -> dict[int, Laurent]:
     return table
 
 
+def _require_int(c: int) -> int:
+    """c, unless it is not an int: coefficients and exponents are exact."""
+    if not isinstance(c, int):
+        raise ValueError(f"{c!r} is not an int")
+    return c
+
+
 def monomial(coeff: int = 1, q: int = 0, t: int = 0, z: int = 0, s: int = 0) -> Laurent:
+    for x in (coeff, q, t, z, s):
+        _require_int(x)
     return Laurent._of({(q, t, z, s): coeff} if coeff else {})
 
 

@@ -732,12 +732,8 @@ def _chk_fib_preimage(max_n):
 def _chk_fib_dual(max_n):
     def image_member(w):
         lam = P.partition_of_word(w)
-        trailing = 0
-        for a in reversed(w):
-            if a != 2:
-                break
-            trailing += 1
-        return trailing <= 1 and (not lam or lam[0] == P.durfee(lam))
+        # on a binary word, at most one trailing two
+        return w[-2:] != (2, 2) and (not lam or lam[0] == P.durfee(lam))
 
     def run_conditions(v):
         runs = W.run_decomposition(v)

@@ -75,6 +75,9 @@ def test_composition_families():
     assert twos_composition_word((3,)) == (1, 1, 1)
     with pytest.raises(ValueError):
         ones_composition_word((0, 1))
+    # d + 1 <= 0 entries: no tuple is a member, as catalan_nd_q(n, d) is zero
+    for n, d in itertools.product(range(4), (-1, -2)):
+        assert list(ones_compositions(n, d)) == list(twos_compositions(n, d)) == []
 
 
 def test_composition_counts_match_triangle():

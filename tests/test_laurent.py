@@ -246,6 +246,24 @@ def test_constructor_rejects_malformed_exponent_vectors(key):
         Laurent({(0, 0, 0, 0): 1, key: 0})
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Laurent({(0, 0, 0, 0): 0.5}),
+        lambda: Laurent({(1, 0, 0, 0): 1, (0, 0, 0, 0): 0.5}),
+        lambda: Laurent.const(0.5),
+        lambda: Laurent.const(0.0),
+        lambda: monomial(0.0, q=1),
+        lambda: monomial(0.5),
+        lambda: monomial(1, q=0.5),
+        lambda: monomial(1, s=0.5),
+    ],
+)
+def test_public_builders_reject_floats(build):
+    with pytest.raises(ValueError, match=r"^0\.[05] is not an int$"):
+        build()
+
+
 def test_constructor_keeps_well_formed_terms():
     assert Laurent({(1, 2, 0, 0): 3, (0, 0, 0, -1): 0}).terms == {(1, 2, 0, 0): 3}
     assert Laurent(monomial(2, q=1, s=-1).terms) == monomial(2, q=1, s=-1)
