@@ -21,7 +21,7 @@ two term maps into a dict over unpacked exponent 4-tuples, dropping the
 coefficients that cancel.  Its readers:
 
 - products, so powers (left-to-right binary powering) and the power
-  tables of substitute;
+  tables of substitute, grown by successive products;
 - sum_of_products, which accumulates a sum of products in one dict, for
   the recurrences in genfun;
 - divide_exact, which eliminates leading terms in lexicographic order,
@@ -29,9 +29,10 @@ coefficients that cancel.  Its readers:
   quotient term from the remainder in place, so every quotient term is
   written once;
 - substitute, which groups the terms by their exponents in the mapped
-  variables, tables each target's powers once, and multiplies each
-  group's factors smallest first, the last product accumulated straight
-  into the output.
+  variables, reads each target's powers from a table kept across calls
+  for at most _POWERS_CAP (8) targets, and multiplies each group's
+  factors smallest first, the last product accumulated straight into
+  the output.
 """
 
 from __future__ import annotations
@@ -102,6 +103,8 @@ class Laurent:
     def __add__(self, other: "Laurent | int") -> "Laurent":
         if isinstance(other, int):
             other = Laurent.const(other)
+        elif not isinstance(other, Laurent):
+            return NotImplemented
         out = dict(self._terms)
         for e, c in other._terms.items():
             nc = out.get(e, 0) + c
@@ -117,11 +120,15 @@ class Laurent:
         return self + (-other)
 
     def __rsub__(self, other: int) -> "Laurent":
+        if not isinstance(other, int):
+            return NotImplemented
         return Laurent.const(other) - self
 
     def __mul__(self, other: "Laurent | int") -> "Laurent":
         if isinstance(other, int):
             return Laurent._of({e: c * other for e, c in self._terms.items() if other})
+        if not isinstance(other, Laurent):
+            return NotImplemented
         return Laurent._of(_mul_into({}, self._terms, other._terms))
 
     __rmul__ = __mul__
@@ -198,10 +205,11 @@ class Laurent:
 
         The terms are grouped by the exponents they carry in the mapped
         variables, leaving one residual polynomial in the other variables
-        per group.  Each target's powers are tabled once, by successive
-        products up to the largest exponent in use (and by powers of
-        target**-1 below zero).  Each group multiplies its residual and
-        its table entries smallest first, the last product added straight
+        per group.  Each target's powers come from a table kept across
+        calls for at most _POWERS_CAP (8) targets, grown by successive
+        products up to the largest exponent in use (below zero, the
+        table of target**-1).  Each group multiplies its residual and its
+        table entries smallest first, the last product added straight
         into the output, so no group builds a polynomial.
 
         A variable occurring with negative exponents may only receive a
@@ -307,21 +315,35 @@ def sum_of_products(pairs: Iterable[tuple[Laurent, Laurent]]) -> Laurent:
     return Laurent._of(out)
 
 
-def _power_table(target: Laurent, exponents: list[int]) -> dict[int, Laurent]:
-    """target**k for every nonzero k between the least and the largest of
-    the exponents, by successive products (with target**-1 below zero,
-    which exists only for a unit monomial)."""
+def _power_table(target: Laurent, exponents: list[int]) -> tuple[Laurent, ...]:
+    """A tuple holding target**k at index k for every k between the least
+    and the largest of the exponents, negative k by Python's negative
+    indexing (target**-1 exists only for a unit monomial)."""
     lo, hi = min(exponents, default=0), max(exponents, default=0)
-    table = {}
-    power = ONE
-    for k in range(1, hi + 1):
-        power = table[k] = power * target
-    if lo < 0:
-        inverse = target**-1
-        power = ONE
-        for k in range(-1, lo - 1, -1):
-            power = table[k] = power * inverse
-    return table
+    if lo >= 0:
+        return _powers(target, hi)
+    # raises for a target that is not a unit monomial, before any store
+    below = _powers(target**-1, -lo)
+    return _powers(target, hi)[: max(hi, 0) + 1] + below[-lo:0:-1]
+
+
+def _powers(target: Laurent, m: int) -> tuple[Laurent, ...]:
+    """(target**0, ..., target**m) or a longer such tuple, kept in _POWERS.
+
+    A table that is too short is extended by successive products into a
+    new tuple, never in place, so a reader never sees a half-built one.
+    A new target drops the oldest of _POWERS_CAP stored ones.
+    """
+    powers = _POWERS.get(target, (ONE,))
+    if len(powers) > m:
+        return powers
+    grown = list(powers)
+    while len(grown) <= m:
+        grown.append(grown[-1] * target)
+    if target not in _POWERS and len(_POWERS) >= _POWERS_CAP:
+        _POWERS.pop(next(iter(_POWERS)), None)
+    powers = _POWERS[target] = tuple(grown)
+    return powers
 
 
 def _require_int(c: int) -> int:
@@ -344,3 +366,6 @@ T = monomial(t=1)
 Z = monomial(z=1)
 S = monomial(s=1)
 _UNIT = ONE._terms
+# target -> (target**0, ..., target**m), insertion-ordered, oldest first
+_POWERS: dict[Laurent, tuple[Laurent, ...]] = {}
+_POWERS_CAP = 8

@@ -13,6 +13,7 @@ import sys
 
 import pytest
 
+from mahonian import laurent
 from mahonian import partitions as P
 from mahonian.verify import run_suite
 
@@ -71,6 +72,20 @@ def _late_descent(step):
     return faulty
 
 
+def _keyed_by_length(powers):
+    # the power tables looked up by the target's number of terms, so -q,
+    # 1 and 1/q share a table: the first target to need the length wins
+    cache = {}
+
+    def faulty(target, m):
+        table = cache.get(len(target.terms), ())
+        if len(table) <= m:
+            table = cache[len(target.terms)] = powers(target, m)
+        return table
+
+    return faulty
+
+
 _FAULTS = {
     "suffix-sums-weakened": (
         "mahonian.bijections",
@@ -125,12 +140,28 @@ _FAULTS = {
             ("catalan-q1", "n=4: coefficient of q^5 is 0 on the left, 1 on the right"),
         },
     ),
+    "powers-keyed-by-length": (
+        "mahonian.laurent",
+        "_powers",
+        _keyed_by_length,
+        {
+            ("reverse-complement", "no-adjacent-twos polynomial at n=2: coefficient of q^-2 is 0 on the left, 1 on the right"),
+            ("rank-catalan-qt", "n=2, t=1: coefficient of q is 1 on the left, 0 on the right"),
+            ("catalan-q1", "n=2: coefficient of q is 1 on the left, 0 on the right"),
+            ("catalan-four-term", "n=3: coefficient of q^-3 is 1 on the left, 0 on the right"),
+            ("fib-poly-three-way", "n=2, t=1: coefficient of 1 is 3 on the left, 2 on the right"),
+            ("lucanomial-positive", "(4,2): coefficient of 1 is 6 on the left, 1 on the right"),
+        },
+    ),
 }
 
 
 @pytest.mark.parametrize("fault", list(_FAULTS))
 def test_quick_profile_catches_fault(monkeypatch, fault):
     module, name, wrap, caught = _FAULTS[fault]
+    # an empty power cache, so no table built before or under the fault
+    # is read, and none built under it outlives the test
+    monkeypatch.setattr(laurent, "_POWERS", {})
     _inject(monkeypatch, module, name, wrap)
     reports = run_suite("quick")
     assert {(r.check, r.witness) for r in reports if not r.passed} == caught

@@ -3,7 +3,8 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mahonian.genfun import distribution
+from mahonian import laurent
+from mahonian.genfun import distribution, lucanomial, q_binomial, st_catalan
 from mahonian.laurent import (
     ONE,
     Q,
@@ -30,6 +31,16 @@ unit_monomials = st.builds(
     st.integers(min_value=-2, max_value=2),
     st.integers(min_value=-2, max_value=2),
 )
+
+
+def test_live_cache_holds_true_powers():
+    # first in this file and with no monkeypatch, so it reads what the
+    # earlier test files (the faults, the genfun tests) left in the cache
+    assert lucanomial(8, 4).substitute({"s": ONE + Q, "t": -Q}) == q_binomial(8, 4)
+    assert laurent._POWERS
+    for target, stored in laurent._POWERS.items():
+        for k, power in enumerate(stored):
+            assert power == target**k, (target, k)
 
 
 def test_basic_arithmetic():
@@ -72,7 +83,7 @@ def test_substitute_examples():
         (S**-1).substitute({"s": ONE + Q})
 
 
-def test_power_multiplies_as_little_as_binary_powering(monkeypatch):
+def _count_products(monkeypatch):
     calls = []
     mul = Laurent.__mul__
 
@@ -80,8 +91,13 @@ def test_power_multiplies_as_little_as_binary_powering(monkeypatch):
         calls.append(1)
         return mul(self, other)
 
-    p = ONE + 2 * Q - T
     monkeypatch.setattr(Laurent, "__mul__", counting)
+    return calls
+
+
+def test_power_multiplies_as_little_as_binary_powering(monkeypatch):
+    p = ONE + 2 * Q - T
+    calls = _count_products(monkeypatch)
     for n, products in ((0, 0), (1, 0), (2, 1), (3, 2), (8, 3)):
         calls.clear()
         p**n
@@ -347,6 +363,7 @@ def test_empty_operands():
 
 
 def test_substitute_multiplies_only_to_table_powers(monkeypatch):
+    monkeypatch.setattr(laurent, "_POWERS", {})
     # 20 groups of mapped exponents (s^i t^j), each with a residual in q
     p = sum_of_products((monomial(i + 1, s=i, t=j), ONE + Q) for i in range(5) for j in range(4))
     mapping = {"s": ONE + Q, "t": -Q}
@@ -369,3 +386,72 @@ def test_substitute_multiplies_only_to_table_powers(monkeypatch):
     assert counts["mul"] == 4 + 3
     # one polynomial per table entry and one for the output
     assert counts["of"] == counts["mul"] + 1
+
+
+@pytest.mark.parametrize("target", [ONE + Q, ONE + Q + T, monomial(-1, q=2, t=-1)])
+def test_cached_powers_are_the_binary_powers(monkeypatch, target):
+    monkeypatch.setattr(laurent, "_POWERS", {})
+    # from s^-3 where the target is a unit monomial, else from s^0, to s^12
+    ks = range(-3 if len(target.terms) == 1 else 0, 13)
+    p = sum_of_products((monomial(1, s=k), ONE) for k in ks)
+    assert p.substitute({"s": target}) == _expand(p, {"s": target})
+    stored = laurent._POWERS[target]
+    assert len(stored) == 13
+    for k, power in enumerate(stored):
+        assert power == target**k
+    table = laurent._power_table(target, list(ks))
+    for k in ks:
+        assert table[k] == target**k
+    if ks[0] < 0:
+        assert laurent._POWERS[target**-1][:4] == tuple(target**-k for k in range(4))
+
+
+def test_second_substitution_builds_no_power(monkeypatch):
+    monkeypatch.setattr(laurent, "_POWERS", {})
+    mapping = {"s": ONE + Q, "t": -Q}
+    polys = [lucanomial(10, 5), st_catalan(4), lucanomial(6, 2)]
+    first = [p.substitute(mapping) for p in polys]
+    calls = _count_products(monkeypatch)
+    # equal targets built afresh, so the lookup is by value
+    assert [p.substitute({"s": ONE + Q, "t": -Q}) for p in polys] == first
+    assert len(calls) == 0
+
+
+def test_cache_keeps_at_most_the_cap(monkeypatch):
+    monkeypatch.setattr(laurent, "_POWERS", {})
+    first = ONE + 2 * Q
+    for c in range(2, laurent._POWERS_CAP + 5):
+        (S**3).substitute({"s": ONE + c * Q})
+        assert len(laurent._POWERS) <= laurent._POWERS_CAP
+    assert len(laurent._POWERS) == laurent._POWERS_CAP
+    # the oldest went first
+    assert first not in laurent._POWERS
+    assert ONE + (laurent._POWERS_CAP + 4) * Q in laurent._POWERS
+
+
+def test_failed_negative_substitution_stores_nothing(monkeypatch):
+    monkeypatch.setattr(laurent, "_POWERS", {})
+    with pytest.raises(ValueError, match="negative power of a non-monomial"):
+        (S**-1).substitute({"s": ONE + Q})
+    with pytest.raises(ValueError, match="negative power of a non-monomial"):
+        (S**-1 + S**3).substitute({"s": ONE + Q})
+    assert laurent._POWERS == {}
+
+
+@pytest.mark.parametrize(
+    "op",
+    [
+        lambda: Q * 0.5,
+        lambda: 0.5 * Q,
+        lambda: Q + 0.5,
+        lambda: 0.5 + Q,
+        lambda: Q - 0.5,
+        lambda: 0.5 - Q,
+        lambda: Q * "x",
+        lambda: "x" * Q,
+        lambda: Q + None,
+    ],
+)
+def test_wrong_operand_types_raise_type_error(op):
+    with pytest.raises(TypeError):
+        op()
