@@ -22,7 +22,7 @@ import itertools
 from collections import Counter
 from collections.abc import Callable, Iterable, Mapping
 
-from .laurent import ONE, S, T, ZERO, Laurent, monomial, sum_of_products, var_index
+from .laurent import ONE, S, T, ZERO, Laurent, from_counts, monomial, q_poly, sum_of_products, var_index
 from .words import des, fibonacci_words, maj
 
 # ---------------------------------------------------------------------------
@@ -36,36 +36,26 @@ def distribution(items: Iterable, stats: Mapping[str, Callable]) -> Laurent:
     item stream must be finite and is read once.  Each statistic maps over
     its own copy of the stream (itertools.tee), so item by item the
     statistics run in mapping order; Counter counts the tuples of values,
-    and each distinct tuple is written into its exponent vector once.
+    and laurent.from_counts packs each distinct tuple once, raising
+    OverflowError on a value outside the exponent range.
     """
     slots = [var_index(name) for name in stats]
     if not slots:
         return Laurent.const(sum(1 for _ in items))
     streams = itertools.tee(items, len(slots)) if len(slots) > 1 else (iter(items),)
     counts = Counter(zip(*[map(fn, s) for fn, s in zip(stats.values(), streams)]))
-    acc: dict[tuple[int, ...], int] = {}
-    for values, count in counts.items():
-        e = [0, 0, 0, 0]
-        for i, v in zip(slots, values):
-            e[i] = v
-        acc[tuple(e)] = count
-    return Laurent._of(acc)
+    return from_counts(slots, counts)
 
 
 # ---------------------------------------------------------------------------
 # q-analogues
 
 
-def _q_poly(coeffs: list[int]) -> Laurent:
-    """The polynomial in q whose coefficient of q^j is coeffs[j]."""
-    return Laurent._of({(j, 0, 0, 0): c for j, c in enumerate(coeffs) if c})
-
-
 def q_int(n: int) -> Laurent:
     """[n] = 1 + q + ... + q^(n-1)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return _q_poly([1] * n)
+    return q_poly([1] * n)
 
 
 def q_factorial(n: int) -> Laurent:
@@ -85,7 +75,7 @@ def q_factorial(n: int) -> Laurent:
                 window -= coeffs[j - i]
             out.append(window)
         coeffs = out
-    return _q_poly(coeffs)
+    return q_poly(coeffs)
 
 
 def q_binomial(n: int, k: int) -> Laurent:
@@ -108,7 +98,7 @@ def q_binomial(n: int, k: int) -> Laurent:
             coeffs[j] -= coeffs[j - m - i]
         for j in range(i, top + 1):
             coeffs[j] += coeffs[j - i]
-    return _q_poly(coeffs)
+    return q_poly(coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +298,7 @@ def truncated_product(parts: Iterable[int], degree: int) -> Laurent:
             continue
         for j in range(p, degree + 1):
             coeffs[j] += coeffs[j - p]
-    return _q_poly(coeffs)
+    return q_poly(coeffs)
 
 
 def carlitz_series(degree: int) -> Laurent:

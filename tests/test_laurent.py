@@ -304,6 +304,16 @@ def _product_terms(a, b):
     return {e: c for e, c in out.items() if c}
 
 
+def _packed(terms):
+    """A term map over exponent 4-tuples, keyed as the kernel keys it."""
+    return {laurent._pack(e): c for e, c in terms.items()}
+
+
+def _unpacked(terms):
+    """A packed term map, keyed by exponent 4-tuples again."""
+    return {laurent._unpack(k): c for k, c in terms.items()}
+
+
 @given(polys, polys, polys)
 @settings(max_examples=60)
 def test_mul_into_adds_the_product(acc, a, b):
@@ -312,8 +322,9 @@ def test_mul_into_adds_the_product(acc, a, b):
     for e, c in _product_terms(a, b).items():
         want[e] = want.get(e, 0) + c
     want = {e: c for e, c in want.items() if c}
-    assert _mul_into(dict(acc.terms), a.terms, b.terms) == want
-    assert _mul_into(dict(acc.terms), b.terms, a.terms) == want
+    pa, pb = _packed(a.terms), _packed(b.terms)
+    assert _unpacked(_mul_into(_packed(acc.terms), pa, pb)) == want
+    assert _unpacked(_mul_into(_packed(acc.terms), pb, pa)) == want
 
 
 @given(polys, st.lists(st.tuples(polys, polys), max_size=4))
@@ -336,8 +347,8 @@ def test_one_term_factor_is_a_shift_on_either_side(p, mono):
     want = _product_terms(mono, p)
     assert (mono * p).terms == want
     assert (p * mono).terms == want
-    assert _mul_into({}, mono.terms, p.terms) == want
-    assert _mul_into({}, p.terms, mono.terms) == want
+    assert _unpacked(_mul_into({}, _packed(mono.terms), _packed(p.terms))) == want
+    assert _unpacked(_mul_into({}, _packed(p.terms), _packed(mono.terms))) == want
 
 
 def test_cancellation_leaves_no_zero_coefficient():
@@ -345,8 +356,9 @@ def test_cancellation_leaves_no_zero_coefficient():
     assert ((ONE + Q) * (ONE - Q)).terms.keys() == {(0, 0, 0, 0), (2, 0, 0, 0)}
     assert not sum_of_products([(Q, T), (-T, Q)]).terms
     # into a nonempty out, by a one-term factor and by a longer one
-    assert _mul_into({(1, 1, 0, 0): 1}, (-Q).terms, T.terms) == {}
-    assert _mul_into({(1, 0, 0, 0): 2, (0, 0, 0, 0): 1}, (ONE + Q).terms, (-ONE - Q).terms) == {
+    assert _mul_into(_packed({(1, 1, 0, 0): 1}), _packed((-Q).terms), _packed(T.terms)) == {}
+    out = _packed({(1, 0, 0, 0): 2, (0, 0, 0, 0): 1})
+    assert _unpacked(_mul_into(out, _packed((ONE + Q).terms), _packed((-ONE - Q).terms))) == {
         (2, 0, 0, 0): -1
     }
 
@@ -356,9 +368,9 @@ def test_empty_operands():
     assert (ZERO * p).terms == (p * ZERO).terms == {}
     assert sum_of_products([]) == ZERO
     assert sum_of_products([(ZERO, p), (p, ZERO), (ZERO, ZERO)]) == ZERO
-    out = {(0, 0, 0, 0): 4}
-    assert _mul_into(out, {}, p.terms) is out and out == {(0, 0, 0, 0): 4}
-    assert _mul_into(out, p.terms, {}) == {(0, 0, 0, 0): 4}
+    out = _packed({(0, 0, 0, 0): 4})
+    assert _mul_into(out, {}, _packed(p.terms)) is out and _unpacked(out) == {(0, 0, 0, 0): 4}
+    assert _unpacked(_mul_into(out, _packed(p.terms), {})) == {(0, 0, 0, 0): 4}
     assert _mul_into({}, {}, {}) == {}
 
 
@@ -375,9 +387,9 @@ def test_substitute_multiplies_only_to_table_powers(monkeypatch):
         counts["mul"] += 1
         return mul(self, other)
 
-    def counting_of(cls, terms):
+    def counting_of(cls, terms, bound):
         counts["of"] += 1
-        return of(cls, terms)
+        return of(cls, terms, bound)
 
     monkeypatch.setattr(Laurent, "__mul__", counting_mul)
     monkeypatch.setattr(Laurent, "_of", classmethod(counting_of))
@@ -455,3 +467,93 @@ def test_failed_negative_substitution_stores_nothing(monkeypatch):
 def test_wrong_operand_types_raise_type_error(op):
     with pytest.raises(TypeError):
         op()
+
+
+def test_terms_view_compares_as_its_dict():
+    p = ONE + 2 * Q - monomial(3, t=-1, s=2)
+    assert p.terms == dict(p.terms) == {(0, 0, 0, 0): 1, (1, 0, 0, 0): 2, (0, -1, 0, 2): -3}
+    assert dict(p.terms) == p.terms
+    assert (Q + ONE).terms == (ONE + Q).terms and (ONE + Q).terms != Q.terms
+    assert p.terms != {(0, 0, 0, 0): 1}
+    assert len(p.terms) == 3 and sorted(p.terms.values()) == [-3, 1, 2]
+    assert p.terms.get((0, -1, 0, 2)) == -3 and p.terms.get((9, 9, 9, 9)) is None
+    assert (1, 0, 0, 0) in p.terms and "q" not in p.terms
+    assert Laurent(p.terms) == p
+
+
+# every exponent lies in [-2**30, 2**30): the edges, and anything between
+_edge = st.sampled_from([-(2**30), -(2**30 - 1), -1, 0, 1, 2**30 - 1])
+_exponent = st.one_of(_edge, st.integers(min_value=-(2**30), max_value=2**30 - 1))
+
+
+@given(st.tuples(*[_exponent] * 4), st.tuples(*[_exponent] * 4))
+@settings(max_examples=200)
+def test_pack_and_unpack_round_trip(e, f):
+    assert laurent._unpack(laurent._pack(e)) == e
+    assert Laurent({e: 5}).terms == {e: 5} and monomial(5, *e).coefficient(*e) == 5
+    # packing is additive while the sum stays in range
+    total = tuple(x + y for x, y in zip(e, f))
+    if all(-(2**30) <= x < 2**30 for x in total):
+        assert laurent._unpack(laurent._pack(e) + laurent._pack(f)) == total
+        assert monomial(1, *e) * monomial(1, *f) == monomial(1, *total)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: monomial(q=2**30),
+        lambda: monomial(s=-(2**30) - 1),
+        lambda: Laurent({(0, 0, 2**30, 0): 1}),
+        lambda: distribution([1, 2], {"q": lambda x: x, "t": lambda x: -(2**30) - x}),
+        lambda: Q ** (2**30),
+        lambda: T ** -(2**30 + 1),
+        # a product, a sum of products and a negative power that cross the bound
+        lambda: monomial(q=2**29) * monomial(q=2**29),
+        lambda: sum_of_products([(ONE, ONE), (monomial(t=-(2**29) - 1), monomial(t=-(2**29)))]),
+        lambda: monomial(s=-(2**30)) ** -1,
+        # substitutions: through the power table, and through the residual
+        lambda: (S**2).substitute({"s": monomial(q=2**29)}),
+        lambda: monomial(q=2**29, s=1).substitute({"s": monomial(q=2**29)}),
+        lambda: monomial(q=2**29, s=1, t=1).substitute({"s": ONE + Q, "t": monomial(q=2**29)}),
+        # four factors near the edge, whose sum would carry into the next field
+        lambda: monomial(q=2**30 - 1, t=1, z=1, s=1).substitute(dict.fromkeys("tzs", monomial(q=2**30 - 1))),
+        # a division whose exact quotient leaves the range
+        lambda: monomial(q=-(2**29)).divide_exact(monomial(q=2**29 + 1)),
+        lambda: (monomial(z=-(2**29)) * (ONE + Q)).divide_exact(monomial(z=2**29 + 1) * (ONE + Q)),
+    ],
+)
+def test_exponents_out_of_range_raise(build):
+    with pytest.raises(OverflowError, match=re.escape("[-2**30, 2**30)")):
+        build()
+
+
+def test_exponents_at_the_range_edges_are_legal():
+    assert Q ** (2**29) * Q ** -(2**29) == ONE
+    assert monomial(q=2**29) * monomial(q=2**29 - 1) == monomial(q=2**30 - 1)
+    assert monomial(t=-(2**29)) ** 2 == monomial(t=-(2**30))
+    assert monomial(q=-(2**29)).divide_exact(monomial(q=2**29)) == monomial(q=-(2**30))
+    assert (S**2).substitute({"s": monomial(q=2**29 - 1)}) == monomial(q=2**30 - 2)
+    assert monomial(q=2**30 - 1).terms == {(2**30 - 1, 0, 0, 0): 1}
+    assert distribution([0, 1], {"s": lambda x: 2**30 - 1 - x, "z": lambda x: -(2**30)}) == monomial(
+        s=2**30 - 1, z=-(2**30)
+    ) + monomial(s=2**30 - 2, z=-(2**30))
+    assert str(monomial(-1, q=-(2**30), s=2**30 - 1)) == f"-q^{-(2**30)}*s^{2**30 - 1}"
+    # an inexact division stays an ExactDivisionError near the edges
+    with pytest.raises(ExactDivisionError):
+        (ONE + Q ** (2**30 - 1)).divide_exact(ONE + T)
+
+
+def test_power_tables_keep_at_most_the_term_cap(monkeypatch):
+    monkeypatch.setattr(laurent, "_POWERS", {})
+    # the tables genfun-routes reads stay whole
+    (S**56 * T**28).substitute({"s": ONE + Q, "t": -Q})
+    assert len(laurent._POWERS[ONE + Q]) == 57 and len(laurent._POWERS[-Q]) == 29
+    target = ONE + Q
+    for p in (S**300 + S, S**200, S**310):
+        assert p.substitute({"s": target}) == _expand(p, {"s": target})
+        stored = laurent._POWERS[target]
+        # the longest prefix within the cap: (1+q)^k has k+1 terms
+        size = sum(len(power.terms) for power in stored)
+        assert size <= laurent._POWERS_TERMS < size + len(stored) + 1
+        for k, power in enumerate(stored):
+            assert power == target**k
