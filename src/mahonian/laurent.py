@@ -39,22 +39,43 @@ terms, dropping the coefficients that cancel.  Its readers:
   tables of substitute, grown by successive products;
 - sum_of_products, which accumulates a sum of products in one dict, for
   the recurrences in genfun;
-- divide_exact, which eliminates leading terms in the order of the keys
-  as ints (lexicographic in z, t, s, q), each step subtracting the
-  divisor's other terms times the new quotient term from the remainder
-  in place, so every quotient term is written once;
+- divide_exact, which settles its refusals before the loop: the ring
+  has no zero divisors, so an exact quotient spans exactly self's
+  extent minus the divisor's in each variable, and an empty such box, or
+  a point with each variable 1 or -1 where the divisor's value does not
+  divide the dividend's, raises ExactDivisionError, a box out of range
+  OverflowError.  The loop then eliminates leading terms in the order of
+  the keys as ints (lexicographic in z, t, s, q), each step subtracting
+  the divisor's other terms times the new quotient term from the
+  remainder in place, so every quotient term is written once, and
+  raises only ExactDivisionError, on a leftover or a lead outside the
+  box;
 - substitute, which groups the terms by their exponents in the mapped
   variables (reading and clearing those fields with masks), reads each
   target's powers from a table kept across calls for at most
   _POWERS_CAP (8) targets of at most _POWERS_TERMS (2048) terms each,
   and multiplies each group's factors smallest first, the last product
   accumulated straight into the output.
+
+Each mechanism stays for a measured reason (paired genfun-routes runs
+with it removed): the terms view, since comparing two polynomials'
+terms reads the packed maps without decoding (a read-only proxy over
+the decoded dict read item_tail_ms +19% to +26%); the smallest-first
+order of a substitution group (item_p50_ms +7%, item_tail_ms +10%
+without it); the power tables kept across calls (item_p50_ms +34%);
+and the per-variable fences of divide_exact, since one bound in the int
+order of the keys lets (q^2 - t^2)/(q + 1), which no sign point
+refuses, walk q down about 2**30 steps where the q box refuses its
+first lead.  The per-variable exponent columns of substitute read flat
+on the workloads but stay, since without them a lucanomial item's
+substitution took 7% to 15% longer in process.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from collections.abc import Iterable, Mapping, Sequence
-from operator import lshift
+from operator import add, gt, lshift, rshift, sub
 
 VARS = ("q", "t", "z", "s")
 _NVARS = len(VARS)
@@ -65,8 +86,13 @@ _WIDTH = 32
 _SHIFTS = (0, 2 * _WIDTH, 3 * _WIDTH, _WIDTH)
 _MASK = (1 << _WIDTH) - 1
 _HALF = 1 << (_WIDTH - 1)
-_BIAS = sum(_HALF << shift for shift in _SHIFTS)
+_HALVES = tuple(_HALF << shift for shift in _SHIFTS)
+_BIAS = sum(_HALVES)
 _LIMIT = 1 << (_WIDTH - 2)
+# each field in its place, and the low bit of every field: a biased key
+# masked with _PARITY keeps the parity of each exponent
+_FIELDS = tuple(_MASK << shift for shift in _SHIFTS)
+_PARITY = sum(1 << shift for shift in _SHIFTS)
 _RANGE = f"exponents must lie in [-2**{_WIDTH - 2}, 2**{_WIDTH - 2})"
 
 
@@ -87,8 +113,8 @@ class Laurent:
             if _require_int(c):
                 packed[key] = c
         self._terms = packed
-        self._vectors = {e: c for e, c in terms.items() if c}
-        self._bound = max((abs(x) for e in self._vectors for x in e), default=0)
+        self._bound = _max_exponent(packed)
+        self._vectors = None
 
     @property
     def terms(self) -> Mapping[tuple[int, ...], int]:
@@ -214,16 +240,20 @@ class Laurent:
     def divide_exact(self, divisor: "Laurent") -> "Laurent":
         """Quotient self/divisor, which must be exact.
 
-        Repeated leading-term elimination in the order of the keys: each
-        step pops the remainder's leading term, which qc*x^qe times the
-        divisor's lead cancels exactly, and subtracts qc*x^qe times the
-        divisor's other terms from the remainder in place, so the leads
-        strictly decrease and every quotient term is written once.  A
-        nonzero remainder raises ExactDivisionError; so does a quotient
-        exponent outside the per-variable valuation bounds, which stops
-        an inexact division instead of letting it diverge.  A quotient
-        exponent within those bounds but outside the range raises
-        OverflowError.
+        The ring has no zero divisors, so in each variable the least and
+        the largest exponent of a product are the sums of its factors':
+        an exact quotient spans exactly self's extent minus the divisor's,
+        its valuation box.  Before the first step, an empty box and a sign
+        point refusing the division (see _signs_refuse; a one-term divisor,
+        whose steps add no term, skips it) raise ExactDivisionError, and a
+        box leaving the range OverflowError.
+        Then repeated leading-term elimination in the order of the keys:
+        each step pops the remainder's leading term, which qc*x^qe times
+        the divisor's lead cancels exactly, and subtracts qc*x^qe times
+        the divisor's other terms from the remainder in place, so the
+        leads strictly decrease and every quotient term is written once.
+        A leftover, or a lead whose quotient term leaves the box, raises
+        ExactDivisionError, so the leads run out.
         """
         if not divisor:
             raise ZeroDivisionError("division by the zero polynomial")
@@ -231,38 +261,41 @@ class Laurent:
             return Laurent()
         dkey = max(divisor._terms)
         dcoef = divisor._terms[dkey]
-        # the quotient's exponents of each variable lie in its box; a
-        # remainder lead's biased fields must lie within the fences for its
-        # quotient term to lie in the box and the range, so every remainder
-        # key stays a sum of two in-range vectors and the leads run out
-        box, fences = [], []
-        for slo, shi, dlo, dhi, x in zip(*_extent(self._terms), *_extent(divisor._terms), _unpack(dkey)):
-            box.append((slo - dlo, shi - dhi))
-            fences += (max(slo - dlo, -_LIMIT) + x + _HALF, min(shi - dhi, _LIMIT - 1) + x + _HALF)
-        lo0, hi0, lo1, hi1, lo2, hi2, lo3, hi3 = fences
-        s0, s1, s2, s3 = _SHIFTS
-        bias, mask = _BIAS, _MASK
         rest = {k: c for k, c in divisor._terms.items() if k != dkey}
+        (*sf, sc), (*df, dc) = _fields(self._terms), _fields(divisor._terms)
+        # the box: each variable's least and largest quotient exponent, in
+        # its field's place
+        lo = list(map(sub, map(min, sf), map(min, df)))
+        hi = list(map(sub, map(max, sf), map(max, df)))
+        if any(map(gt, lo, hi)) or (
+            rest and _signs_refuse(zip(sc, self._terms.values()), zip(dc, divisor._terms.values()))
+        ):
+            raise ExactDivisionError(f"nonzero remainder dividing {self} by {divisor}")
+        least, most = min(map(rshift, lo, _SHIFTS)), max(map(rshift, hi, _SHIFTS))
+        if least < -_LIMIT or most >= _LIMIT:
+            raise OverflowError(f"quotient exponents {least}..{most} out of range: {_RANGE}")
+        # the fences are the box, biased: a quotient key is the difference
+        # of a sum of two in-range vectors and one, so a field that leaves
+        # its _WIDTH bits wraps to a value outside the fences, and a key
+        # within them is a vector in the box
+        lo0, lo1, lo2, lo3 = map(add, lo, _HALVES)
+        hi0, hi1, hi2, hi3 = map(add, hi, _HALVES)
+        m0, m1, m2, m3 = _FIELDS
+        bias = _BIAS
         rem = dict(self._terms)
         quo: dict[int, int] = {}
         while rem:
             rkey = max(rem)
             qc, leftover = divmod(rem.pop(rkey), dcoef)
-            u = rkey + bias
-            if leftover or not (
-                lo0 <= (u >> s0 & mask) <= hi0
-                and lo1 <= (u >> s1 & mask) <= hi1
-                and lo2 <= (u >> s2 & mask) <= hi2
-                and lo3 <= (u >> s3 & mask) <= hi3
-            ):
-                qe = [x - y for x, y in zip(_unpack(rkey), _unpack(dkey))]
-                if not leftover and all(a <= x <= b for x, (a, b) in zip(qe, box)):
-                    raise OverflowError(f"quotient exponents {tuple(qe)} out of range: {_RANGE}")
-                raise ExactDivisionError(f"nonzero remainder dividing {self} by {divisor}")
             qkey = rkey - dkey
+            u = qkey + bias
+            if leftover or not (
+                lo0 <= u & m0 <= hi0 and lo1 <= u & m1 <= hi1 and lo2 <= u & m2 <= hi2 and lo3 <= u & m3 <= hi3
+            ):
+                raise ExactDivisionError(f"nonzero remainder dividing {self} by {divisor}")
             quo[qkey] = qc
             _mul_into(rem, {qkey: -qc}, rest)
-        return Laurent._of(quo, min(max(max(-a, b) for a, b in box), _LIMIT))
+        return Laurent._of(quo, max(-least, most))
 
     def substitute(self, mapping: Mapping[str, "Laurent"]) -> "Laurent":
         """Simultaneous substitution of polynomials for variables.
@@ -271,10 +304,11 @@ class Laurent:
         variables, leaving one residual polynomial in the other variables
         per group.  Each target's powers come from a table kept across
         calls for at most _POWERS_CAP (8) targets, grown by successive
-        products up to the largest exponent in use (below zero, the
-        table of target**-1).  Each group multiplies its residual and its
-        table entries smallest first, the last product added straight
-        into the output, so no group builds a polynomial.
+        products up to the largest exponent in use (below zero, each
+        target**k is built by itself and not kept).  Each group
+        multiplies its residual and its table entries smallest first, the
+        last product added straight into the output, so no group builds a
+        polynomial.
 
         A variable occurring with negative exponents may only receive a
         unit monomial (otherwise the result is not a Laurent polynomial).
@@ -407,15 +441,13 @@ def _unpack(key: int) -> tuple[int, ...]:
     return tuple([(u >> shift & _MASK) - _HALF for shift in _SHIFTS])
 
 
-def _extent(terms: dict[int, int]) -> tuple[list[int], list[int]]:
-    """The least and the largest exponent of each variable in the keys of
-    the nonempty terms."""
-    lo, hi = [], []
-    for shift in _SHIFTS:
-        field = [(k + _BIAS) >> shift & _MASK for k in terms]
-        lo.append(min(field) - _HALF)
-        hi.append(max(field) - _HALF)
-    return lo, hi
+def _fields(terms: dict[int, int]) -> list[tuple[int, ...]]:
+    """The biased fields of the keys of the nonempty terms, each masked in
+    its place, one tuple per variable (indexed like VARS), then the tuple
+    of the keys' parity classes."""
+    m0, m1, m2, m3 = _FIELDS
+    bias, parity = _BIAS, _PARITY
+    return list(zip(*[((u := k + bias) & m0, u & m1, u & m2, u & m3, u & parity) for k in terms]))
 
 
 def _max_exponent(terms: dict[int, int]) -> int:
@@ -423,10 +455,42 @@ def _max_exponent(terms: dict[int, int]) -> int:
     in-range vectors; OverflowError if one leaves [-_LIMIT, _LIMIT)."""
     if not terms:
         return 0
-    lo, hi = _extent(terms)
-    if min(lo) < -_LIMIT or max(hi) >= _LIMIT:
+    *fields, _ = _fields(terms)
+    lo = min(map(rshift, map(min, fields), _SHIFTS)) - _HALF
+    hi = max(map(rshift, map(max, fields), _SHIFTS)) - _HALF
+    if lo < -_LIMIT or hi >= _LIMIT:
         raise OverflowError(f"exponents {lo}..{hi} out of range: {_RANGE}")
-    return max(-min(lo), max(hi))
+    return max(-lo, hi)
+
+
+def _signs_refuse(dividend: Iterable[tuple[int, int]], divisor: Iterable[tuple[int, int]]) -> bool:
+    """Whether some point with each variable 1 or -1 shows that divisor
+    does not divide dividend, each given as the (parity class,
+    coefficient) pairs of its terms.  An exact quotient has integer
+    coefficients, so its value there is an integer: the divisor's value
+    divides the dividend's, and is 0 only where the dividend's is.
+
+    The coefficients are summed by class in one dict, the divisor's
+    classes flagged with bit 2 (no parity bit), and one butterfly stage
+    per variable with an odd exponent turns the sums into the values,
+    keyed by the parity mask of the variables at -1; a variable with
+    only even exponents changes no value.
+    """
+    sums: defaultdict[int, int] = defaultdict(int)
+    for m, c in dividend:
+        sums[m] += c
+    for m, c in divisor:
+        sums[m | 2] += c
+    odd = 0
+    for m in sums:
+        odd |= m
+    for shift in _SHIFTS:
+        if odd >> shift & 1:
+            bit = 1 << shift
+            for m in {m & ~bit for m in sums}:
+                x, y = sums[m], sums[m | bit]
+                sums[m], sums[m | bit] = x + y, x - y
+    return any(sums[m ^ 2] % d if d else sums[m ^ 2] for m, d in sums.items() if m & 2)
 
 
 def _mul_into(out: dict, a: Mapping, b: Mapping) -> dict:
@@ -464,7 +528,7 @@ def _group(terms: dict[int, int], indices: list[int]) -> dict[int, dict[int, int
     """The terms grouped by their exponents in the variables at indices:
     each group is keyed by those exponents packed alone and maps the keys
     with those fields cleared to the coefficients."""
-    fields = sum(_MASK << _SHIFTS[i] for i in indices)
+    fields = sum(_FIELDS[i] for i in indices)
     bias = _BIAS & fields
     groups: dict[int, dict[int, int]] = {}
     for k, c in terms.items():
@@ -476,13 +540,13 @@ def _group(terms: dict[int, int], indices: list[int]) -> dict[int, dict[int, int
 def _power_table(target: Laurent, exponents: list[int]) -> tuple[Laurent, ...]:
     """A tuple holding target**k at index k for every k between the least
     and the largest of the exponents, negative k by Python's negative
-    indexing (target**-1 exists only for a unit monomial)."""
+    indexing (target**k with k < 0 exists only for a unit monomial)."""
     lo, hi = min(exponents, default=0), max(exponents, default=0)
     if lo >= 0:
         return _powers(target, hi)
     # raises for a target that is not a unit monomial, before any store
-    below = _powers(target**-1, -lo)
-    return _powers(target, hi)[: max(hi, 0) + 1] + below[-lo:0:-1]
+    below = tuple(target**k for k in range(lo, 0))
+    return _powers(target, hi)[: max(hi, 0) + 1] + below
 
 
 def _powers(target: Laurent, m: int) -> tuple[Laurent, ...]:

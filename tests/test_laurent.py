@@ -1,3 +1,4 @@
+import itertools
 import re
 
 import pytest
@@ -217,17 +218,83 @@ def test_multiply_divide_roundtrip(a, b):
     assert (a * b).divide_exact(b) == a
 
 
-@given(polys, polys, polys)
-@settings(max_examples=60)
+@given(polys, polys, st.one_of(st.just(ZERO), polys))
+@settings(max_examples=100)
 def test_divide_exact_is_exact_or_refuses(a, b, r):
     if not b:
         return
     dividend = a * b + r
+    if not r:
+        # an exact division trips neither the sign guard nor the box
+        assert dividend.divide_exact(b) == a
+        return
     try:
         quotient = dividend.divide_exact(b)
     except ExactDivisionError:
         return
     assert quotient * b == dividend
+
+
+def _count_steps(monkeypatch):
+    """Count the elimination steps of divide_exact, one _mul_into call each."""
+    calls = []
+    mul_into = laurent._mul_into
+
+    def counting(out, a, b):
+        calls.append(1)
+        return mul_into(out, a, b)
+
+    monkeypatch.setattr(laurent, "_mul_into", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "dividend, divisor",
+    [
+        # empty boxes: the divisor spans more q, or any t, than the dividend
+        (Q, Q**2 + Q**3),
+        (ONE + Q ** (2**30 - 1), ONE + T),
+        # 1 + q vanishes at q = -1 where the dividend does not
+        (ONE + Q**2, ONE + Q),
+        (ONE + Q**10**6, ONE + Q),
+        (ONE + Q ** (2**30 - 2), ONE + Q),
+        # at q = t = 1, 3 does not divide 4
+        (ONE + Q + T + Q * T, ONE + Q + T),
+        # no sign point refuses this one: the q box refuses its first lead
+        (Q**2 - T**2, Q + ONE),
+    ],
+)
+def test_refusals_take_no_elimination_step(monkeypatch, dividend, divisor):
+    steps = _count_steps(monkeypatch)
+    with pytest.raises(ExactDivisionError):
+        dividend.divide_exact(divisor)
+    assert steps == []
+
+
+def test_out_of_range_box_takes_no_elimination_step(monkeypatch):
+    dividend, divisor = monomial(q=-(2**29)) * (ONE + T), monomial(q=2**29 + 1) * (ONE + T)
+    steps = _count_steps(monkeypatch)
+    with pytest.raises(OverflowError, match=re.escape("[-2**30, 2**30)")):
+        dividend.divide_exact(divisor)
+    assert steps == []
+
+
+def _classes(p):
+    """The (parity class, coefficient) pairs of p's terms."""
+    return zip(laurent._fields(p._terms)[-1], p._terms.values())
+
+
+@given(polys, polys)
+@settings(max_examples=100)
+def test_sign_guard_reads_the_values_at_the_sign_points(p, d):
+    if not p or not d:
+        return
+    refused = False
+    for signs in itertools.product((ONE, -ONE), repeat=4):
+        point = dict(zip(VARS, signs))
+        pv, dv = p.substitute(point).coefficient(), d.substitute(point).coefficient()
+        refused |= bool(pv % dv if dv else pv)
+    assert laurent._signs_refuse(_classes(p), _classes(d)) == refused
 
 
 def test_truncate_and_queries():
@@ -414,8 +481,8 @@ def test_cached_powers_are_the_binary_powers(monkeypatch, target):
     table = laurent._power_table(target, list(ks))
     for k in ks:
         assert table[k] == target**k
-    if ks[0] < 0:
-        assert laurent._POWERS[target**-1][:4] == tuple(target**-k for k in range(4))
+    # the negative powers are built per call, not kept
+    assert list(laurent._POWERS) == [target]
 
 
 def test_second_substitution_builds_no_power(monkeypatch):
